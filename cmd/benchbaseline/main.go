@@ -1,8 +1,9 @@
 // Command benchbaseline records the repository's performance baseline:
 // wall time, Monte Carlo throughput (shots/sec), and per-shot cost
 // (ns/shot, allocs/shot, bytes/shot from runtime.ReadMemStats deltas) of
-// the quick-scale fig9 and table3 experiments, written as JSON to
-// BENCH_baseline.json. Shot-shaped experiments additionally record
+// the quick-scale fig9 and table3 experiments and of one pinned d = 13
+// surface-code point (surface-d13, the union-find decode path), written as
+// JSON to BENCH_baseline.json. Shot-shaped experiments additionally record
 // steady_allocs_per_shot — allocations of a warm repeated run with
 // construction excluded — which the zero-alloc gate (cmd/benchtrend
 // -max-allocs) pins at 0. The artifact carries the git revision it was
@@ -37,6 +38,7 @@ import (
 	"hetarch/internal/obs/ledger"
 	"hetarch/internal/obs/runlog"
 	"hetarch/internal/qec"
+	"hetarch/internal/surface"
 	"hetarch/internal/uec"
 )
 
@@ -53,17 +55,26 @@ func main() {
 	sc := experiments.Quick()
 	sc.Workers = *workers
 	ctx := context.Background()
+	// surface-d13 is one Fig. 7 point (d = 13, T_CD/T_CA = 1, Z basis) at a
+	// fixed shot count: the quick-scale sweeps stop at small distances, so
+	// without it the trend would not cover union-find decoding. The
+	// experiment is built once, outside the timed runs.
+	surf, err := surface.New(surface.DefaultParams(13))
+	if err != nil {
+		fatal(err)
+	}
 	runners := []struct {
 		name   string
+		scale  string
 		run    func()
-		steady func(seed int64) float64 // steady-state allocs/shot, nil = not shot-shaped
+		steady func(seed int64) float64 // steady-state allocs/shot, nil = not measured
 	}{
-		{"fig9", func() {
+		{"fig9", "quick", func() {
 			if _, err := experiments.Fig9(ctx, sc, *seed); err != nil {
 				fatal(err)
 			}
 		}, steadyUEC(qec.Steane(), true, false)},
-		{"table3", func() {
+		{"table3", "quick", func() {
 			if _, err := experiments.Table3(ctx, sc, *seed); err != nil {
 				fatal(err)
 			}
@@ -71,8 +82,13 @@ func main() {
 		// dse is characterization-shaped, not shot-shaped: its entry records
 		// wall time of a cold in-memory sweep (shots stay 0), anchoring the
 		// warm-vs-cold cache benchmarks in bench_test.go.
-		{"dse", func() {
+		{"dse", "quick", func() {
 			if _, err := experiments.DSE(ctx, experiments.DSEOptions{Workers: sc.Workers}); err != nil {
+				fatal(err)
+			}
+		}, nil},
+		{"surface-d13", "pinned", func() {
+			if _, err := surf.RunContext(ctx, surfaceShots, *seed, sc.Workers); err != nil {
 				fatal(err)
 			}
 		}, nil},
@@ -114,7 +130,7 @@ func main() {
 			bestWall = wall
 			e = bench.Entry{
 				Experiment:  r.name,
-				Scale:       "quick",
+				Scale:       r.scale,
 				Shots:       n,
 				WallSeconds: round(wall),
 				ShotsPerSec: round(float64(n) / wall),
@@ -201,6 +217,9 @@ func appendLedger(dirFlag, runID string, b *bench.Baseline, out string, seed int
 
 // benchReps is the best-of-N repetition count for the timed runs.
 const benchReps = 3
+
+// surfaceShots is the pinned shot count of the surface-d13 entry.
+const surfaceShots = 2048
 
 // steadyAllocShots sizes the steady-state measurement run: large enough
 // that the per-run worker setup (a few dozen allocations) amortizes below

@@ -2,21 +2,24 @@ package decoder
 
 import (
 	"testing"
+
+	"hetarch/internal/splitmix"
 )
 
 // decodeFuzzGraph builds a matching graph from raw fuzz bytes: a node
 // count, then 3-byte edge records (U, V-or-boundary, observable-mask bits).
 // Every byte string maps to a valid graph, so the fuzzer explores shapes —
 // multi-edges, boundary-heavy nodes, disconnected islands — no generator
-// written by hand would.
+// written by hand would. Up to 131 nodes and 160 edges, so both peel
+// bitmaps can span three 64-bit words.
 func decodeFuzzGraph(data []byte) (*Graph, []byte) {
 	if len(data) < 1 {
 		return nil, nil
 	}
-	n := int(data[0])%24 + 2
+	n := int(data[0])%130 + 2
 	data = data[1:]
 	g := &Graph{NumNodes: n}
-	for len(data) >= 3 && len(g.Edges) < 96 {
+	for len(data) >= 3 && len(g.Edges) < 160 {
 		u := int(data[0]) % n
 		v := int(data[1]) % (n + 1)
 		e := Edge{U: u, V: v, ObsMask: uint64(data[2] & 3)}
@@ -106,9 +109,9 @@ func checkSyndrome(t *testing.T, g *Graph, defects []bool, correction []int) {
 // leakage across decodes on a reused instance.
 func FuzzUnionFindDecode(f *testing.F) {
 	// Seeds: surface-code-shaped sector graphs (time chains + boundary
-	// columns) and small pathological shapes.
-	sector := func(d, layers int) []byte {
-		g := sectorGraph(d, layers)
+	// columns), graphs whose node and edge counts straddle a bitmap word
+	// boundary, and small pathological shapes.
+	encode := func(g *Graph) []byte {
 		data := []byte{byte(g.NumNodes - 2)}
 		for _, e := range g.Edges {
 			v := e.V
@@ -123,8 +126,10 @@ func FuzzUnionFindDecode(f *testing.F) {
 		}
 		return data
 	}
-	f.Add(sector(3, 4))
-	f.Add(sector(5, 6))
+	f.Add(encode(sectorGraph(3, 4)))
+	f.Add(encode(sectorGraph(5, 6)))
+	f.Add(encode(wordBoundaryGraph(splitmix.New(1), 64)))
+	f.Add(encode(wordBoundaryGraph(splitmix.New(2), 129)))
 	f.Add([]byte{0})                                  // minimal graph, no edges
 	f.Add([]byte{1, 0, 1, 3, 0, 1, 3, 1, 2, 0, 0xff}) // multi-edges + defects
 	f.Add([]byte{6, 0, 8, 1, 2, 3, 0, 4, 4, 2, 0x55, 0x55})

@@ -1,6 +1,8 @@
 package decoder
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 
 	"hetarch/internal/splitmix"
@@ -192,3 +194,113 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 // closures draw randomness without capturing a fresh generator (and without
 // any allocation attributable to the run itself).
 var splitmixShared = splitmix.New(1)
+
+// TestPeelBitmapWordBoundaries exercises the peel's node and edge bitmaps
+// where they cross 64-bit word boundaries: graphs with 63, 64, 65, 127, 128
+// and 129 nodes and edges, with defects and boundary edges pinned at
+// indices 0, 63, 64 and N−1. Every entry point on one reused instance must
+// match the reference, and both bitmaps must be all-zero after every call
+// so no stale bit seeds the next shot's forest.
+func TestPeelBitmapWordBoundaries(t *testing.T) {
+	rng := splitmix.New(17)
+	for _, n := range []int{63, 64, 65, 127, 128, 129} {
+		g := wordBoundaryGraph(rng, n)
+		ref := newRefUnionFind(g)
+		u := NewUnionFind(g)
+		clean := func(label string) {
+			t.Helper()
+			for i, w := range u.nodeBits {
+				if w != 0 {
+					t.Fatalf("n=%d %s: nodeBits[%d]=%#x after decode", n, label, i, w)
+				}
+			}
+			for i, w := range u.edgeBits {
+				if w != 0 {
+					t.Fatalf("n=%d %s: edgeBits[%d]=%#x after decode", n, label, i, w)
+				}
+			}
+		}
+		words := make([]uint64, n)
+		preds := make([]uint64, 64)
+		dense := make([]bool, n)
+		for batch := 0; batch < 20; batch++ {
+			randomDefectWords(rng, words, 1+batch%4)
+			for _, i := range boundaryIndices(n) {
+				words[i] |= rng.Uint64()
+			}
+			u.DecodeBatch(words, 64, preds)
+			clean("DecodeBatch")
+			for s := 0; s < 64; s++ {
+				for d := range dense {
+					dense[d] = words[d]>>uint(s)&1 == 1
+				}
+				want := ref.Decode(dense)
+				if preds[s] != want {
+					t.Fatalf("n=%d batch %d shot %d: DecodeBatch=%d reference=%d", n, batch, s, preds[s], want)
+				}
+				if got := u.DecodeBits(words, s); got != want {
+					t.Fatalf("n=%d batch %d shot %d: DecodeBits=%d reference=%d", n, batch, s, got, want)
+				}
+				clean("DecodeBits")
+				if got := u.Decode(dense); got != want {
+					t.Fatalf("n=%d batch %d shot %d: Decode=%d reference=%d", n, batch, s, got, want)
+				}
+				clean("Decode")
+			}
+		}
+	}
+}
+
+// boundaryIndices lists the word-boundary indices 0, 63, 64 and n−1 that
+// exist in a range of n.
+func boundaryIndices(n int) []int {
+	var out []int
+	for _, i := range []int{0, 63, 64, n - 1} {
+		if i < n && (len(out) == 0 || out[len(out)-1] != i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// wordBoundaryGraph is a randomGraph with n nodes and n edges whose edges at
+// the word-boundary indices are boundary edges on the word-boundary nodes,
+// so both peel bitmaps get bits set in their first and last positions.
+func wordBoundaryGraph(rng *splitmix.RNG, n int) *Graph {
+	g := randomGraph(rng, n, n)
+	idx := boundaryIndices(n)
+	for k, ei := range idx {
+		g.Edges[ei] = Edge{U: idx[len(idx)-1-k], V: Boundary, ObsMask: uint64(k&1) + 1}
+	}
+	return g
+}
+
+// BenchmarkUnionFindDecodeBatch decodes dense 64-shot batches (about a
+// quarter of detectors firing) on sector graphs at d = 5 and d = 13 and
+// reports ns/defect, so the decoder's scaling in the defect count shows in
+// plain go test -bench: near-linear decoding keeps the d13/d5 ratio small.
+func BenchmarkUnionFindDecodeBatch(b *testing.B) {
+	for _, d := range []int{5, 13} {
+		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) {
+			g := sectorGraph(d, d+1)
+			u := NewUnionFind(g)
+			rng := splitmix.New(int64(d))
+			batches := make([][]uint64, 16)
+			defects := 0
+			for i := range batches {
+				batches[i] = make([]uint64, g.NumNodes)
+				randomDefectWords(rng, batches[i], 2)
+				for _, w := range batches[i] {
+					defects += bits.OnesCount64(w)
+				}
+			}
+			preds := make([]uint64, 64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u.DecodeBatch(batches[i%len(batches)], 64, preds)
+			}
+			perBatch := float64(defects) / float64(len(batches))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perBatch), "ns/defect")
+		})
+	}
+}

@@ -54,17 +54,23 @@ func (g *Graph) Validate() error {
 // which is what lets the Fig. 6/7 experiments run Monte Carlo at distance
 // 13+ where shots with zero or one defect dominate.
 //
-// Sparsity rests on two mechanisms:
+// Sparsity rests on three mechanisms:
 //
-//   - Epoch-stamped scratch. Every per-decode array (cluster forest,
-//     growth, peel state) carries a generation stamp; "resetting" for the
-//     next shot is a single counter bump, and state is lazily initialized
-//     the first time a node or edge is touched in a given decode. A shot
-//     with d defects therefore costs O(cluster area around the defects),
-//     never O(NumNodes + Edges).
-//   - Arena slices. All transient lists (active roots, odd roots, grown
-//     edges, BFS queue/order) live on the decoder and are reused across
-//     calls, so steady-state decoding performs zero allocations.
+//   - Epoch-stamped node scratch. The per-node arrays (cluster forest,
+//     peel state) carry a generation stamp; "resetting" for the next shot
+//     is a single counter bump, and state is lazily initialized the first
+//     time a node is touched in a given decode. Per-edge state is one
+//     growth byte, zeroed after the peel through the list of edges the
+//     decode grew. A shot with d defects therefore costs O(cluster area
+//     around the defects), never O(NumNodes + Edges).
+//   - Arena slices. All transient lists (active roots, odd roots, BFS
+//     queue/order) live on the decoder and are reused across calls, so
+//     steady-state decoding performs zero allocations.
+//   - Self-clearing bitmaps. Peel roots are marked in a node bitmap and
+//     grown boundary edges in an edge bitmap; peel walks each word by word
+//     with bits.TrailingZeros64, zeroing words as it reads them. The walk
+//     visits in ascending index order with duplicates merged, in
+//     O(touched + N/64), and leaves the bitmaps clean for the next decode.
 //
 // The decoder is reusable: Decode/DecodeBits/DecodeBatch may be called
 // repeatedly with different defect patterns. It is not safe for concurrent
@@ -75,20 +81,22 @@ type UnionFind struct {
 	// their real endpoint)
 	adj [][]int
 
-	// epoch is the decode generation. A node or edge whose stamp differs
-	// from it is in its pristine start-of-decode state; touchNode/touchEdge
-	// initialize lazily on first contact.
+	// epoch is the decode generation. A node whose stamp differs from it is
+	// in its pristine start-of-decode state; touchNode initializes lazily
+	// on first contact.
 	epoch     uint64
 	nodeEpoch []uint64
-	edgeEpoch []uint64
 
-	// cluster state, valid where nodeEpoch/edgeEpoch == epoch
+	// cluster state, valid where nodeEpoch == epoch
 	parent   []int
 	size     []int
 	parity   []int  // defect count mod 2 per cluster root
 	boundary []bool // cluster touches the boundary
-	growth   []int  // per-edge growth 0..2
-	onTree   []bool // edge fully grown
+	// growth is the per-edge growth 0..2; 2 means the edge is on the peel
+	// forest. It is all-zero between decodes: grown lists the edges this
+	// decode has grown, and decode zeroes them after the peel.
+	growth []uint8
+	grown  []int
 	// edgeList[root] holds the indices of edges incident to the cluster;
 	// merged on union so growth never rescans the whole graph. Slots keep
 	// their capacity across decodes.
@@ -98,9 +106,15 @@ type UnionFind struct {
 	defects   []int    // scratch defect list for the dense/bit entry points
 	active    []int    // cluster representatives, first-defect order
 	oddRoots  []int    // odd, boundary-free roots for the current round
-	treeEdges []int    // edges grown to 2 this decode, in growth order
 	seenGen   uint64   // generation for seenStamp
 	seenStamp []uint64 // per-node dedup stamp for odd/active recomputation
+
+	// Peel seeds, set during growth and zeroed by peel's walks: nodeBits
+	// marks candidate BFS roots (defects and both endpoints of fully grown
+	// interior edges), edgeBits marks fully grown boundary edges, whose
+	// endpoints peel seeds first.
+	nodeBits []uint64
+	edgeBits []uint64
 
 	// peel arenas, valid where peelEpoch == epoch
 	peelEpoch    []uint64
@@ -108,8 +122,6 @@ type UnionFind struct {
 	defNow       []bool
 	parentEdge   []int
 	boundaryEdge []int
-	bSeed        []int // grown boundary edges, sorted by index
-	rootCand     []int // candidate BFS roots, sorted by node index
 	order        []int
 	queue        []int // BFS ring: qHead indexes the next pop, so the arena's
 	qHead        int   // backing array is reused instead of sliced away
@@ -133,13 +145,11 @@ func NewUnionFind(g *Graph) *UnionFind {
 		}
 	}
 	u.nodeEpoch = make([]uint64, g.NumNodes)
-	u.edgeEpoch = make([]uint64, len(g.Edges))
 	u.parent = make([]int, g.NumNodes)
 	u.size = make([]int, g.NumNodes)
 	u.parity = make([]int, g.NumNodes)
 	u.boundary = make([]bool, g.NumNodes)
-	u.growth = make([]int, len(g.Edges))
-	u.onTree = make([]bool, len(g.Edges))
+	u.growth = make([]uint8, len(g.Edges))
 	u.edgeList = make([][]int, g.NumNodes)
 	u.seenStamp = make([]uint64, g.NumNodes)
 	u.peelEpoch = make([]uint64, g.NumNodes)
@@ -147,13 +157,16 @@ func NewUnionFind(g *Graph) *UnionFind {
 	u.defNow = make([]bool, g.NumNodes)
 	u.parentEdge = make([]int, g.NumNodes)
 	u.boundaryEdge = make([]int, g.NumNodes)
+	u.nodeBits = make([]uint64, (g.NumNodes+63)/64)
+	u.edgeBits = make([]uint64, (len(g.Edges)+63)/64)
 	return u
 }
 
 // Clone returns an independent decoder over the same (shared, read-only)
 // graph. Decode mutates per-call scratch (cluster forest, growth fronts,
 // arenas), so each mc worker needs its own instance; a fresh build is
-// equivalent to a deep copy because all scratch is epoch-invalidated.
+// equivalent to a deep copy because all scratch is epoch-invalidated or
+// cleared at the end of each decode.
 func (u *UnionFind) Clone() *UnionFind {
 	return NewUnionFind(u.g)
 }
@@ -171,28 +184,6 @@ func (u *UnionFind) touchNode(i int) {
 	u.parity[i] = 0
 	u.boundary[i] = false
 	u.edgeList[i] = append(u.edgeList[i][:0], u.adj[i]...)
-}
-
-// touchEdge lazily initializes edge ei's growth state for the current
-// decode.
-func (u *UnionFind) touchEdge(ei int) {
-	if u.edgeEpoch[ei] == u.epoch {
-		return
-	}
-	u.edgeEpoch[ei] = u.epoch
-	u.growth[ei] = 0
-	u.onTree[ei] = false
-}
-
-// isOnTree reports whether edge ei was fully grown in the current decode,
-// without stamping untouched edges.
-func (u *UnionFind) isOnTree(ei int) bool {
-	return u.edgeEpoch[ei] == u.epoch && u.onTree[ei]
-}
-
-// grownFull reports whether edge ei has reached full growth this decode.
-func (u *UnionFind) grownFull(ei int) bool {
-	return u.edgeEpoch[ei] == u.epoch && u.growth[ei] >= 2
 }
 
 // touchPeel lazily initializes node i's peel-phase state.
@@ -322,11 +313,11 @@ func (u *UnionFind) decode(defects []int) uint64 {
 	// Seed the defect clusters. Active clusters are represented in
 	// first-defect order, the order the growth loop visits them in.
 	u.active = u.active[:0]
-	u.treeEdges = u.treeEdges[:0]
 	for _, i := range defects {
 		u.touchNode(i)
 		u.parity[i] = 1
 		u.active = append(u.active, i)
+		setBit(u.nodeBits, i)
 	}
 
 	// Growth loop: each iteration grows every boundary edge of every odd,
@@ -356,20 +347,23 @@ func (u *UnionFind) decode(defects []int) uint64 {
 			// grown in a later round, matching the historical behavior.
 			list := u.edgeList[root]
 			for _, ei := range list {
-				u.touchEdge(ei)
 				if u.growth[ei] >= 2 {
 					continue
+				}
+				if u.growth[ei] == 0 {
+					u.grown = append(u.grown, ei)
 				}
 				u.growth[ei]++
 				progress = true
 				if u.growth[ei] == 2 {
 					e := u.g.Edges[ei]
-					u.onTree[ei] = true
-					u.treeEdges = append(u.treeEdges, ei)
 					if e.V == Boundary {
+						setBit(u.edgeBits, ei)
 						r := u.find(e.U)
 						u.boundary[r] = true
 					} else {
+						setBit(u.nodeBits, e.U)
+						setBit(u.nodeBits, e.V)
 						newRoot := u.union(e.U, e.V)
 						if newRoot != root {
 							// The cluster was absorbed into a larger one;
@@ -389,11 +383,9 @@ func (u *UnionFind) decode(defects []int) uint64 {
 				cur := u.edgeList[root]
 				w := 0
 				for _, ei := range cur {
-					if u.grownFull(ei) {
-						continue
-					}
+					// Branch-free: growth>>1 is 1 exactly when ei is grown.
 					cur[w] = ei
-					w++
+					w += int(1 - u.growth[ei]>>1)
 				}
 				u.edgeList[root] = cur[:w]
 			}
@@ -417,23 +409,16 @@ func (u *UnionFind) decode(defects []int) uint64 {
 		u.active = next
 	}
 
-	return u.peel(defects)
+	obsMask := u.peel(defects)
+	for _, ei := range u.grown {
+		u.growth[ei] = 0
+	}
+	u.grown = u.grown[:0]
+	return obsMask
 }
 
-// sortInts is an insertion sort for the small peel scratch lists (a few
-// entries per decode at the physical error rates of interest); avoids the
-// sort package's interface boxing on the hot path.
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
-}
+// setBit sets bit i of the bitmap bm.
+func setBit(bm []uint64, i int) { bm[i>>6] |= 1 << uint(i&63) }
 
 // peel extracts a correction from the grown cluster forests and returns the
 // XOR of the observable masks of the chosen edges. Only nodes reachable
@@ -447,41 +432,36 @@ func (u *UnionFind) peel(defects []int) uint64 {
 
 	// Build BFS forests over fully-grown edges. Roots are nodes adjacent to
 	// grown boundary edges (so defects can drain into the boundary), then
-	// the lowest-index unvisited node of each remaining tree. Both seed
-	// lists are sorted so the traversal matches a dense index-order scan.
+	// the lowest-index unvisited node of each remaining tree. Both bitmap
+	// walks run in ascending index order, so the traversal matches a dense
+	// index-order scan.
 	u.order = u.order[:0]
 	u.queue = u.queue[:0]
 	u.qHead = 0
-	u.bSeed = u.bSeed[:0]
-	u.rootCand = u.rootCand[:0]
-	for _, ei := range u.treeEdges {
-		e := u.g.Edges[ei]
-		if e.V == Boundary {
-			u.bSeed = append(u.bSeed, ei)
-			u.rootCand = append(u.rootCand, e.U)
-		} else {
-			u.rootCand = append(u.rootCand, e.U, e.V)
-		}
-	}
-	u.rootCand = append(u.rootCand, defects...)
-	sortInts(u.bSeed)
-	for _, ei := range u.bSeed {
-		v := u.g.Edges[ei].U
-		u.touchPeel(v)
-		if !u.visited[v] {
-			u.visited[v] = true
-			u.boundaryEdge[v] = ei
-			u.queue = append(u.queue, v)
+	for wi, w := range u.edgeBits {
+		u.edgeBits[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			ei := wi<<6 | bits.TrailingZeros64(w)
+			v := u.g.Edges[ei].U
+			u.touchPeel(v)
+			if !u.visited[v] {
+				u.visited[v] = true
+				u.boundaryEdge[v] = ei
+				u.queue = append(u.queue, v)
+			}
 		}
 	}
 	u.bfs() // drain the boundary-rooted trees first
-	sortInts(u.rootCand)
-	for _, start := range u.rootCand {
-		u.touchPeel(start)
-		if !u.visited[start] {
-			u.visited[start] = true
-			u.queue = append(u.queue, start)
-			u.bfs()
+	for wi, w := range u.nodeBits {
+		u.nodeBits[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			start := wi<<6 | bits.TrailingZeros64(w)
+			u.touchPeel(start)
+			if !u.visited[start] {
+				u.visited[start] = true
+				u.queue = append(u.queue, start)
+				u.bfs()
+			}
 		}
 	}
 
@@ -522,7 +502,7 @@ func (u *UnionFind) bfs() {
 		u.qHead++
 		u.order = append(u.order, v)
 		for _, ei := range u.adj[v] {
-			if !u.isOnTree(ei) {
+			if u.growth[ei] < 2 {
 				continue
 			}
 			e := u.g.Edges[ei]

@@ -6,6 +6,7 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -349,12 +350,25 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxRequestBody bounds fabric POST bodies, matching the job service's
+// submit limit. Lease and renew requests are a few hundred bytes, and a
+// tally carries one short record per shard of a lease, so honest requests
+// stay far below it.
+const maxRequestBody = 1 << 20
+
+// readJSON decodes a POST body into v, answering 405 for other methods,
+// 413 for a body over maxRequestBody and 400 for malformed JSON.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+			return false
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return false
 	}

@@ -3,7 +3,10 @@ package fabric
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -494,4 +497,40 @@ func TestFabricWorkerDrain(t *testing.T) {
 	got := coordinate(context.Background(), t, coord, seed, nil)
 	assertTallies(t, "coordinator", got, want)
 	<-done
+}
+
+// TestFabricRejectsOversizedBodies: every POST handler refuses a body over
+// the 1 MiB cap with 413 before decoding it (the oversized worker ID is
+// never registered), while a normal request still decodes.
+func TestFabricRejectsOversizedBodies(t *testing.T) {
+	coord, err := StartCoordinator(testOpts(JobSpec{RunID: "t-bodies", Experiment: "test", Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Shutdown(0)
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post("http://"+coord.Addr()+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	huge := `{"worker":"` + strings.Repeat("w", maxRequestBody) + `"}`
+	for _, path := range []string{PathLease, PathRenew, PathTally} {
+		if code := post(path, huge); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body answered %d, want 413", path, code)
+		}
+	}
+	if st := coord.Stats(); st.Workers != 0 {
+		t.Errorf("oversized bodies registered %d workers, want 0", st.Workers)
+	}
+	if code := post(PathLease, `{"worker":"w1"}`); code != http.StatusOK {
+		t.Errorf("normal lease request answered %d, want 200", code)
+	}
+	if st := coord.Stats(); st.Workers != 1 {
+		t.Errorf("normal request registered %d workers, want 1", st.Workers)
+	}
 }
