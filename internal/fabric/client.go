@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hetarch/internal/obs/runlog"
+	"hetarch/internal/splitmix"
 )
 
 // Client talks the fabric protocol to one coordinator.
@@ -63,7 +64,7 @@ func (c *Client) backoff(attempt int, seq uint64) time.Duration {
 	if d > c.BackoffCap || d <= 0 {
 		d = c.BackoffCap
 	}
-	frac := float64(splitmix64(c.jitterSeed+seq*0x9e3779b97f4a7c15+uint64(attempt))>>11) / float64(1<<53)
+	frac := float64(splitmix.Mix(c.jitterSeed+seq*0x9e3779b97f4a7c15+uint64(attempt))>>11) / float64(1<<53)
 	return time.Duration(float64(d) * (0.5 + frac/2))
 }
 

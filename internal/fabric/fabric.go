@@ -222,12 +222,3 @@ func AnnounceWorkerDone(id string, err error) {
 	}
 	runlog.L().Info(evWorkerDone, "worker", id)
 }
-
-// splitmix64 is the engine's stream splitter (see mc.StreamSeed), reused
-// for deterministic backoff jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

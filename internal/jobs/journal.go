@@ -2,13 +2,12 @@
 // submitted and what became of it.
 //
 // The file (journal.jsonl inside the jobs data directory) follows the
-// repo's append-only line discipline (see internal/obs/ledger and
-// internal/mc/checkpoint, DESIGN.md §12): every record is marshalled to a
-// single newline-terminated line and written with one write(2) on an
-// O_APPEND descriptor, synced before the state transition is considered
-// committed. A process killed mid-append leaves at most one torn trailing
-// line, which Replay drops and OpenJournal heals by starting the next
-// append on a fresh line boundary.
+// repo's append-only line discipline (internal/jsonl, DESIGN.md §12):
+// every record is one newline-terminated line written with a single
+// write(2), synced before the state transition is considered committed. A
+// process killed mid-append leaves at most one torn trailing line, which
+// OpenJournal skips and heals by starting the next append on a fresh line
+// boundary.
 //
 // Two record types:
 //
@@ -31,14 +30,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 
+	"hetarch/internal/jsonl"
 	"hetarch/internal/obs/ledger"
-	"hetarch/internal/obs/recorder"
-	"hetarch/internal/obs/runlog"
 )
-
-var evTornTail = runlog.Event("jobs.journal_torn_tail")
 
 // JournalName is the journal file inside the jobs data directory.
 const JournalName = "journal.jsonl"
@@ -75,45 +70,27 @@ type Submission struct {
 
 // Journal is an open, append-only job journal.
 type Journal struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
+	f *jsonl.File
 }
 
-// OpenJournal opens (creating if absent) the journal at path, replays its
-// records into per-job histories, and heals a torn tail so the next append
-// starts on a clean line boundary. The replayed records are returned in
-// file order.
+// OpenJournal opens (creating if absent) the journal at path, heals a torn
+// tail so the next append starts on a clean line boundary, and replays its
+// records in file order.
 func OpenJournal(path string) (*Journal, []Record, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := jsonl.Open(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("jobs: journal %s: %w", path, err)
+		return nil, nil, fmt.Errorf("jobs: journal: %w", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("jobs: journal %s: %w", path, err)
+		return nil, nil, fmt.Errorf("jobs: journal: %w", err)
 	}
-	lines, tail := recorder.SplitTailTolerant(data)
-	if len(tail) > 0 {
-		if json.Valid(tail) {
-			lines = append(lines, tail)
-		} else {
-			// Torn mid-append by a kill: the record is lost (its transition
-			// never committed), but the boundary must be healed so this
-			// process's first append starts a fresh line.
-			runlog.L().Warn(evTornTail, "path", path, "bytes", len(tail))
-			if _, err := f.Write([]byte{'\n'}); err != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("jobs: heal journal %s: %w", path, err)
-			}
-		}
-	}
+	// The heal has turned a torn tail into an interior line, skipped below
+	// like any other corrupt line (its transition never committed).
+	lines, _ := jsonl.Split(data)
 	var records []Record
 	for _, raw := range lines {
-		if len(raw) == 0 {
-			continue
-		}
 		var r Record
 		if err := json.Unmarshal(raw, &r); err != nil {
 			continue // out-of-band corruption: skip, like the ledger reader
@@ -124,43 +101,23 @@ func OpenJournal(path string) (*Journal, []Record, error) {
 		}
 		// Unknown types skipped for forward compatibility.
 	}
-	return &Journal{path: path, f: f}, records, nil
+	return &Journal{f: f}, records, nil
 }
 
 // Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
+func (j *Journal) Path() string { return j.f.Path() }
 
-// Append commits one record: a single newline-terminated write on the
-// O_APPEND descriptor, synced to the OS before returning. A state
-// transition is durable iff Append returned nil.
+// Append commits one record as a single line, synced to the OS before
+// returning. A state transition is durable iff Append returned nil.
 func (j *Journal) Append(r Record) error {
-	line, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("jobs: journal encode: %w", err)
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("jobs: journal %s: closed", j.path)
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("jobs: journal append %s: %w", j.path, err)
+	if err := j.f.Append(r); err != nil {
+		return fmt.Errorf("jobs: journal append: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("jobs: journal sync %s: %w", j.path, err)
+		return fmt.Errorf("jobs: journal sync %s: %w", j.Path(), err)
 	}
 	return nil
 }
 
 // Close releases the file handle. Appended records are already durable.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
+func (j *Journal) Close() error { return j.f.Close() }

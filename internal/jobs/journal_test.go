@@ -161,3 +161,45 @@ func TestJournalSkipsCorruptInteriorLine(t *testing.T) {
 		t.Fatalf("replayed %d records, want 2 (corrupt line skipped)", len(records))
 	}
 }
+
+// A complete last record that lost its newline must not swallow the next
+// append: reopening heals the boundary, so both records replay.
+func TestJournalUnterminatedTailThenAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), JournalName)
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Record{Type: "job.submitted", Job: testSubmission("job-a")}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(strings.TrimSuffix(string(data), "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Append(Record{Type: "job.state", ID: "job-a", State: StateDone, At: now()}); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+
+	_, records, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 2 {
+		t.Fatalf("replayed %d records after append over an unterminated tail, want 2", len(records))
+	}
+	if records[0].Job == nil || records[0].Job.ID != "job-a" || records[1].State != StateDone {
+		t.Fatalf("replayed records %+v, want the submission then the done transition", records)
+	}
+}

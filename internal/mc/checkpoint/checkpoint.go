@@ -2,10 +2,10 @@
 // crash-tolerant JSONL file so an interrupted Monte Carlo campaign can
 // resume without repeating completed work.
 //
-// The artifact is line-oriented, one JSON object per line, flushed per
-// record — the flight recorder's discipline (see internal/obs/recorder):
-// killing the process at any point loses at most the line being written,
-// and the reader drops a torn trailing line instead of failing.
+// The artifact is line-oriented, one JSON object per line, written per
+// record with the line discipline of internal/jsonl: killing the process
+// at any point loses at most the line being written, and Open drops a torn
+// trailing line instead of failing.
 //
 //	{"type":"checkpoint", ...}   exactly one, first line: the run identity
 //	{"type":"shard", ...}        one per completed shard
@@ -26,6 +26,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -33,8 +34,8 @@ import (
 	"sync"
 	"time"
 
+	"hetarch/internal/jsonl"
 	"hetarch/internal/mc"
-	"hetarch/internal/obs/recorder"
 	"hetarch/internal/obs/runlog"
 )
 
@@ -133,8 +134,7 @@ type entryVal struct {
 // engine's workers; every Record is flushed to the OS before returning.
 type File struct {
 	mu       sync.Mutex
-	f        *os.File
-	enc      *json.Encoder
+	f        *jsonl.File
 	meta     Meta
 	done     map[entryKey]entryVal
 	resumed  int
@@ -144,8 +144,9 @@ type File struct {
 
 // Open loads the checkpoint at path, validating that it belongs to the run
 // described by meta, or creates a fresh one if the file does not exist.
-// A crash-truncated trailing line is dropped (and the file rewritten
-// without it so subsequent appends start on a clean line boundary).
+// A crash-truncated trailing line is dropped (and the file rewritten to
+// its intact prefix, byte for byte, so subsequent appends start on a clean
+// line boundary).
 //
 // Open first takes a pid+run-ID lockfile beside the JSONL (see lock.go):
 // a checkpoint held by a live run fails with ErrLocked so two processes
@@ -168,38 +169,29 @@ func Open(path string, meta Meta) (*File, error) {
 
 func open(path string, meta Meta) (*File, error) {
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return create(path, meta)
-	}
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-
-	lines, tail := recorder.SplitTailTolerant(data)
-	truncated := len(tail) > 0
-	if truncated && json.Valid(tail) {
-		lines = append(lines, tail)
-	}
-	if len(lines) == 0 {
-		return create(path, meta)
-	}
-
-	var prev Meta
-	if err := json.Unmarshal(lines[0], &prev); err != nil || prev.Type != "checkpoint" {
-		return nil, fmt.Errorf("checkpoint %s: first record is not a checkpoint header", path)
-	}
-	if err := compatible(prev, meta); err != nil {
-		return nil, fmt.Errorf("checkpoint %s was written by a different run (%v); delete it or rerun with matching flags", path, err)
+	lines, torn := jsonl.Split(data)
+	if len(lines) > 0 {
+		var prev Meta
+		if err := json.Unmarshal(lines[0], &prev); err != nil || prev.Type != "checkpoint" {
+			return nil, fmt.Errorf("checkpoint %s: first record is not a checkpoint header", path)
+		}
+		if err := compatible(prev, meta); err != nil {
+			return nil, fmt.Errorf("checkpoint %s was written by a different run (%v); delete it or rerun with matching flags", path, err)
+		}
+		meta = prev
 	}
 
 	done := map[entryKey]entryVal{}
-	for i, raw := range lines[1:] {
-		if len(raw) == 0 {
+	for i := 1; i < len(lines); i++ {
+		if len(lines[i]) == 0 {
 			continue
 		}
 		var rec shardRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("checkpoint %s: line %d: %w", path, i+2, err)
+		if err := json.Unmarshal(lines[i], &rec); err != nil {
+			return nil, fmt.Errorf("checkpoint %s: line %d: %w", path, i+1, err)
 		}
 		if rec.Type != "shard" {
 			continue // forward compatibility
@@ -208,63 +200,25 @@ func open(path string, meta Meta) (*File, error) {
 		done[k] = entryVal{seed: rec.ShardSeed, tally: mc.Tally{Shots: rec.Shots, Errors: rec.Errors}}
 	}
 
-	if truncated {
-		// Rewrite without the torn tail so appends start on a line boundary.
+	if torn {
+		// The strict reader above would reject the torn line once healed
+		// into the interior, so cut the file back to its intact prefix.
 		runlog.L().Warn(evTornTail, "path", path, "shards", len(done))
-		if err := rewrite(path, prev, done); err != nil {
-			return nil, err
+		if err := jsonl.WriteAtomic(path, data[:bytes.LastIndexByte(data, '\n')+1]); err != nil {
+			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := jsonl.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	return &File{f: f, enc: json.NewEncoder(f), meta: prev, done: done, resumed: len(done)}, nil
-}
-
-func create(path string, meta Meta) (*File, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	cf := &File{f: f, enc: json.NewEncoder(f), meta: meta, done: map[entryKey]entryVal{}}
-	if err := cf.enc.Encode(meta); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	return cf, nil
-}
-
-// rewrite replaces path with a clean artifact holding meta plus the loaded
-// shard records, via tmp-and-rename.
-func rewrite(path string, meta Meta, done map[entryKey]entryVal) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	err = enc.Encode(meta)
-	for k, v := range done {
-		if err != nil {
-			break
+	if len(lines) == 0 { // fresh file: the header goes first
+		if err := f.Append(meta); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
-		err = enc.Encode(record(k, v))
 	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
+	return &File{f: f, meta: meta, done: done, resumed: len(done)}, nil
 }
 
 func record(k entryKey, v entryVal) shardRecord {
@@ -331,7 +285,7 @@ func (f *File) Record(key mc.RunKey, sh mc.Shard, t mc.Tally) error {
 	if _, ok := f.done[k]; ok {
 		return nil
 	}
-	if err := f.enc.Encode(record(k, entryVal{seed: sh.Seed, tally: t})); err != nil {
+	if err := f.f.Append(record(k, entryVal{seed: sh.Seed, tally: t})); err != nil {
 		return err
 	}
 	f.done[k] = entryVal{seed: sh.Seed, tally: t}

@@ -46,6 +46,17 @@ func (tr *tracker) runner() mc.ShardRunner {
 	}
 }
 
+// mustRun is mc.RunContext on a background context, failing the test on
+// error.
+func mustRun(t *testing.T, cfg mc.Config, newWorker func() mc.ShardRunner) mc.Tally {
+	t.Helper()
+	tally, err := mc.RunContext(context.Background(), cfg, newWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tally
+}
+
 func meta() Meta { return NewMeta("test", "unit", "quick", 7, 0) }
 
 // TestChaosResumeRoundTripBitIdentical is the acceptance invariant: kill a
@@ -54,7 +65,7 @@ func meta() Meta { return NewMeta("test", "unit", "quick", 7, 0) }
 // uninterrupted run — without re-executing any completed shard.
 func TestChaosResumeRoundTripBitIdentical(t *testing.T) {
 	cfg := mc.Config{Shots: 10_000, Seed: 7, Workers: 1}
-	want := mc.Run(cfg, testRunner)
+	want := mustRun(t, cfg, testRunner)
 	numShards := (cfg.Shots + mc.DefaultShardSize - 1) / mc.DefaultShardSize
 
 	for _, chaosSeed := range []int64{1, 2, 3, 99} {
@@ -122,7 +133,7 @@ func TestChaosResumeRoundTripBitIdentical(t *testing.T) {
 // checkpoint path.
 func TestChaosResumeAcrossWorkerCounts(t *testing.T) {
 	cfg := mc.Config{Shots: 20_000, Seed: 11, Workers: 8}
-	want := mc.Run(cfg, testRunner)
+	want := mustRun(t, cfg, testRunner)
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -165,7 +176,7 @@ func TestChaosResumeAcrossWorkerCounts(t *testing.T) {
 // panics still converges to the exact fault-free counts.
 func TestChaosResumeUnderShardPanics(t *testing.T) {
 	cfg := mc.Config{Shots: 10_000, Seed: 3, Workers: 4}
-	want := mc.Run(cfg, testRunner)
+	want := mustRun(t, cfg, testRunner)
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -207,7 +218,7 @@ func TestChaosResumeUnderShardPanics(t *testing.T) {
 func TestTruncatedTailDropped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	cfg := mc.Config{Shots: 2_560, Seed: 7, Workers: 1}
-	want := mc.Run(cfg, testRunner)
+	want := mustRun(t, cfg, testRunner)
 
 	cp, err := Open(path, meta())
 	if err != nil {
@@ -246,6 +257,65 @@ func TestTruncatedTailDropped(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("resume after torn tail %+v != %+v", got, want)
+	}
+}
+
+// TestTruncatedTailHealKeepsIntactPrefix: healing a torn checkpoint cuts
+// it back to its last complete line byte for byte — no reordering of the
+// shard records and no loss of lines the reader does not know.
+func TestTruncatedTailHealKeepsIntactPrefix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	cp, err := Open(path, meta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.SetCheckpoint(cp)
+	mustRun(t, mc.Config{Shots: 2_560, Seed: 7, Workers: 1}, testRunner)
+	mc.SetCheckpoint(nil)
+	cp.Close()
+
+	// An unknown record type in the interior must survive the heal too.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"future","note":"kept"}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	cp, err = Open(path, meta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Record(mc.RunKey{Run: 9, Shots: 100, Seed: 7, ShardSize: 256},
+		mc.Shard{Index: 0, Shots: 100, Seed: mc.StreamSeed(7, 0)}, mc.Tally{Shots: 100, Errors: 1}); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n != 13 { // meta + 10 shards + future + 1 shard
+		t.Fatalf("checkpoint has %d lines, want 13", n)
+	}
+	torn := data[:len(data)-7]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp2, err := Open(path, meta())
+	if err != nil {
+		t.Fatalf("truncated checkpoint must open: %v", err)
+	}
+	cp2.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := torn[:strings.LastIndexByte(string(torn), '\n')+1]
+	if string(got) != string(want) {
+		t.Fatalf("healed checkpoint is not the intact prefix:\n got %q\nwant %q", got, want)
 	}
 }
 

@@ -216,8 +216,16 @@ func runShard[T any](run func(Shard) T, sh Shard, attempt int, fi FaultInjector)
 	return
 }
 
-// MapShardsContext is MapShards with cooperative cancellation and panic
-// isolation. It stops dispatching shards once ctx is cancelled or a shard
+// MapShardsContext partitions cfg.Shots into shards, processes them on
+// min(workers, shards) goroutines, and returns the per-shard results in
+// shard order. newWorker runs once per goroutine to build worker-owned
+// state (sampler, decoder, scratch); the returned function is then called
+// once per shard, always from that same goroutine. Because results are
+// placed by shard index and the decomposition is independent of
+// scheduling, the returned slice is identical for any worker count —
+// including reductions that are not commutative.
+//
+// It stops dispatching shards once ctx is cancelled or a shard
 // exhausts its retries; in-flight shards finish (shards are small, so the
 // latency is bounded by one shard of work per worker). On an incomplete
 // run it returns the results slice — valid at exactly the completed
@@ -378,10 +386,12 @@ func mergeTraced(shards int, fold func()) {
 	})
 }
 
-// RunContext is Run with cooperative cancellation, panic isolation, and
-// checkpointing. It always returns the pooled tally of the shards that
-// completed; when that is not all of them, the error is a *PartialError
-// whose Completed set the tally covers.
+// RunContext shards the budget, executes it on the worker pool, and pools
+// the shard tallies. Same (Shots, Seed, ShardSize) ⇒ bit-identical pooled
+// counts at any worker count. Cancellation, panic isolation and
+// checkpointing ride along: it always returns the pooled tally of the
+// shards that completed; when that is not all of them, the error is a
+// *PartialError whose Completed set the tally covers.
 //
 // When a checkpoint store is installed (SetCheckpoint), each shard is
 // looked up before execution — a hit reuses the recorded tally without

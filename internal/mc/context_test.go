@@ -29,15 +29,40 @@ func countingRunner() mc.ShardRunner {
 	}
 }
 
+// mustRun is mc.RunContext on a background context, failing the test on
+// error.
+func mustRun(t *testing.T, cfg mc.Config, newWorker func() mc.ShardRunner) mc.Tally {
+	t.Helper()
+	tally, err := mc.RunContext(context.Background(), cfg, newWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tally
+}
+
+// mustMapShards is mc.MapShardsContext on a background context, failing
+// the test on error.
+func mustMapShards(t *testing.T, cfg mc.Config, newWorker func() mc.ShardRunner) []mc.Tally {
+	t.Helper()
+	out, err := mc.MapShardsContext(context.Background(), cfg, newWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestRunContextCompletesLikeRun(t *testing.T) {
 	cfg := mc.Config{Shots: 10_000, Seed: 42, Workers: 4}
-	want := mc.Run(cfg, countingRunner)
+	var want mc.Tally
+	for _, tally := range mustMapShards(t, cfg, countingRunner) {
+		want.Add(tally)
+	}
 	got, err := mc.RunContext(context.Background(), cfg, countingRunner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("RunContext %+v != Run %+v", got, want)
+		t.Fatalf("RunContext %+v != pooled per-shard tallies %+v", got, want)
 	}
 }
 
@@ -67,7 +92,7 @@ func TestChaosCancelPartialIsExactPrefix(t *testing.T) {
 	cfg := mc.Config{Shots: 10_000, Seed: 42, Workers: 1}
 
 	// Per-shard tallies of the fault-free run, for prefix sums.
-	perShard := mc.MapShards(cfg, countingRunner)
+	perShard := mustMapShards(t, cfg, countingRunner)
 
 	for _, k := range []int{1, 7, 20, 39} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -108,7 +133,7 @@ func TestChaosCancelPartialIsExactPrefix(t *testing.T) {
 // exactly the sum of the fault-free per-shard tallies over that set.
 func TestChaosCancelPartialMatchesCompletedSet(t *testing.T) {
 	cfg := mc.Config{Shots: 20_000, Seed: 9, Workers: 8}
-	perShard := mc.MapShards(cfg, countingRunner)
+	perShard := mustMapShards(t, cfg, countingRunner)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	in := chaos.New(1).CancelAfter(5, cancel)
@@ -138,7 +163,7 @@ func TestChaosCancelPartialMatchesCompletedSet(t *testing.T) {
 // the pooled tally bit-identical to the fault-free run.
 func TestChaosPanicRetryBitIdentical(t *testing.T) {
 	cfg := mc.Config{Shots: 10_000, Seed: 42, Workers: 4}
-	want := mc.Run(cfg, countingRunner)
+	want := mustRun(t, cfg, countingRunner)
 
 	in := chaos.New(3)
 	picked := in.PickShards(5, 40)
@@ -165,7 +190,7 @@ func TestChaosPanicRetryBitIdentical(t *testing.T) {
 // completed shards exactly.
 func TestChaosPersistentPanicFailsCleanly(t *testing.T) {
 	cfg := mc.Config{Shots: 10_000, Seed: 42, Workers: 1}
-	perShard := mc.MapShards(cfg, countingRunner)
+	perShard := mustMapShards(t, cfg, countingRunner)
 
 	const bad = 3
 	in := chaos.New(1).PanicOnShard(bad, 1+mc.DefaultShardRetries)
@@ -218,7 +243,7 @@ func TestChaosRetryDisabled(t *testing.T) {
 // retry.
 func TestChaosWorkerPanicIsolatedFromRealRunner(t *testing.T) {
 	cfg := mc.Config{Shots: 2_560, Seed: 5, Workers: 2}
-	want := mc.Run(cfg, countingRunner)
+	want := mustRun(t, cfg, countingRunner)
 
 	// A runner whose worker state is corrupted by a one-time transient
 	// panic on shard 4: the worker that panicked would mis-count every
@@ -247,25 +272,18 @@ func TestChaosWorkerPanicIsolatedFromRealRunner(t *testing.T) {
 	}
 }
 
-// TestChaosMapShardsPanicsOnExhaustedFault: the legacy MapShards entry
-// point keeps its crash-on-panic contract, but with the typed fault.
-func TestChaosMapShardsPanicsOnExhaustedFault(t *testing.T) {
+// TestChaosMapShardsContextReturnsExhaustedFault: a shard that exhausts
+// its retries surfaces from MapShardsContext as the typed fault.
+func TestChaosMapShardsContextReturnsExhaustedFault(t *testing.T) {
 	in := chaos.New(1).PanicOnShard(0, 1+mc.DefaultShardRetries)
 	mc.SetFaultInjector(in)
 	defer mc.SetFaultInjector(nil)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("MapShards should re-panic on an exhausted fault")
-		}
-		err, ok := r.(error)
-		var fault *mc.ShardFault
-		if !ok || !errors.As(err, &fault) {
-			t.Fatalf("recovered %v, want a *ShardFault-wrapping error", r)
-		}
-	}()
-	mc.MapShards(mc.Config{Shots: 1000, Seed: 1, Workers: 1},
+	_, err := mc.MapShardsContext(context.Background(), mc.Config{Shots: 1000, Seed: 1, Workers: 1},
 		func() func(mc.Shard) int { return func(sh mc.Shard) int { return sh.Index } })
+	var fault *mc.ShardFault
+	if !errors.As(err, &fault) {
+		t.Fatalf("got %v, want a *ShardFault-wrapping error", err)
+	}
 }
 
 // memCheckpoint is an in-memory mc.Checkpoint for scoping tests: it records
@@ -412,7 +430,7 @@ func TestWithCheckpointShadowsGlobal(t *testing.T) {
 // checkpoints nothing, and must not panic.
 func TestWithCheckpointNilStore(t *testing.T) {
 	cfg := mc.Config{Shots: 1000, Seed: 5, Workers: 2}
-	want := mc.Run(cfg, countingRunner)
+	want := mustRun(t, cfg, countingRunner)
 	got, err := mc.RunContext(mc.WithCheckpoint(context.Background(), nil), cfg, countingRunner)
 	if err != nil {
 		t.Fatal(err)

@@ -19,9 +19,10 @@
 package mc
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
+
+	"hetarch/internal/splitmix"
 )
 
 // DefaultShardSize is the shard granularity when Config.ShardSize is unset:
@@ -45,23 +46,12 @@ func (t *Tally) Add(u Tally) {
 	t.Errors += u.Errors
 }
 
-// splitmix64 is the output mix of the SplitMix64 generator (Steele, Lea,
-// Flood: "Fast splittable pseudorandom number generators"). It is used here
-// as a stream splitter: statistically independent seeds from consecutive
-// stream indices.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // StreamSeed derives the RNG seed of stream `stream` from the base seed:
 // element stream+1 of the SplitMix64 sequence whose state starts at seed.
 // Streams for distinct indices are decorrelated even for adjacent base
 // seeds, unlike the seed+k*constant scheme this replaces.
 func StreamSeed(seed int64, stream uint64) int64 {
-	return int64(splitmix64(uint64(seed) + stream*0x9e3779b97f4a7c15))
+	return int64(splitmix.Mix(uint64(seed) + stream*0x9e3779b97f4a7c15))
 }
 
 // ResolveWorkers maps a configured worker count onto the effective one:
@@ -145,44 +135,7 @@ func (c Config) shards() []Shard {
 	return out
 }
 
-// MapShards partitions cfg.Shots into shards, processes them on
-// min(workers, shards) goroutines, and returns the per-shard results in
-// shard order. newWorker runs once per goroutine to build worker-owned state
-// (sampler, decoder, scratch); the returned function is then called once per
-// shard, always from that same goroutine.
-//
-// Because results are placed by shard index and the decomposition is
-// independent of scheduling, the returned slice is identical for any worker
-// count — including reductions that are not commutative.
-//
-// MapShards is MapShardsContext on a background context: it cannot be
-// cancelled, and a shard that faults out of its retries panics with the
-// *ShardFault (preserving the historical crash-on-panic contract for
-// callers without an error path).
-func MapShards[T any](cfg Config, newWorker func() func(Shard) T) []T {
-	out, err := MapShardsContext(context.Background(), cfg, newWorker)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // ShardRunner processes one shard and returns its tally. Implementations
 // must derive all randomness from the shard's RNG and touch only
 // worker-owned or read-only state.
 type ShardRunner = func(Shard) Tally
-
-// Run shards the budget, executes it on the worker pool, and pools the
-// shard tallies. Same (Shots, Seed, ShardSize) ⇒ bit-identical pooled
-// counts at any worker count.
-//
-// Run is RunContext on a background context: it cannot be cancelled, and a
-// run that cannot complete (exhausted shard retries, checkpoint I/O
-// failure) panics with the error.
-func Run(cfg Config, newWorker func() ShardRunner) Tally {
-	t, err := RunContext(context.Background(), cfg, newWorker)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}

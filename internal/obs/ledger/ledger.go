@@ -7,14 +7,13 @@
 // entries, bench baselines — each with a SHA-256 digest so provenance can
 // be verified after the fact (`hetarch runs show`).
 //
-// The file follows the append-only line discipline shared with
-// internal/obs/recorder and internal/mc/checkpoint: every envelope is
-// marshalled to one newline-terminated line and written with a single
-// write(2) on an O_APPEND descriptor, so concurrent appends from separate
-// processes interleave at line granularity and never tear each other. A
-// process killed mid-append leaves at most one torn trailing line, which
-// readers drop (reported via Log.Truncated) and Open heals by starting the
-// next append on a fresh line boundary.
+// The file follows the append-only line discipline of internal/jsonl:
+// every envelope is one newline-terminated line written with a single
+// write(2), so concurrent appends from separate processes interleave at
+// line granularity and never tear each other. A process killed mid-append
+// leaves at most one torn trailing line, which readers drop (reported via
+// Log.Truncated) and Open heals by starting the next append on a fresh
+// line boundary.
 //
 // The ledger is strictly results-neutral: it is written after the run's
 // stdout is complete and only ever reads the artifacts the run already
@@ -22,6 +21,7 @@
 package ledger
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -33,10 +33,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
+	"hetarch/internal/jsonl"
 	"hetarch/internal/obs"
-	"hetarch/internal/obs/recorder"
 	"hetarch/internal/obs/runlog"
 	"hetarch/internal/obs/stats"
 )
@@ -53,7 +52,6 @@ var (
 var (
 	evAppend      = runlog.Event("ledger.append")
 	evAppendError = runlog.Event("ledger.append_error")
-	evTornTail    = runlog.Event("ledger.torn_tail")
 	evPruned      = runlog.Event("ledger.pruned")
 )
 
@@ -179,12 +177,10 @@ type FabricStats struct {
 }
 
 // Ledger is an open, append-only run journal. Append is safe for
-// concurrent use within a process (mutex) and across processes (O_APPEND
-// single-write line discipline).
+// concurrent use within a process and across processes (single-write line
+// discipline, see internal/jsonl).
 type Ledger struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
+	f *jsonl.File
 }
 
 // Open creates the ledger directory if needed and opens dir/ledger.jsonl
@@ -195,85 +191,37 @@ func Open(dir string) (*Ledger, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: open %s: %w", dir, err)
 	}
-	path := filepath.Join(dir, FileName)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := jsonl.Open(filepath.Join(dir, FileName))
 	if err != nil {
-		return nil, fmt.Errorf("ledger: open %s: %w", path, err)
+		return nil, fmt.Errorf("ledger: %w", err)
 	}
-	if err := healTail(path, f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Ledger{path: path, f: f}, nil
-}
-
-// healTail appends a newline when the file does not end in one, so the
-// first Append of this process starts on a line boundary. The torn bytes
-// before it remain in place; readers drop them as an unparseable line.
-func healTail(path string, f *os.File) error {
-	r, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	defer r.Close()
-	st, err := r.Stat()
-	if err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	if st.Size() == 0 {
-		return nil
-	}
-	var last [1]byte
-	if _, err := r.ReadAt(last[:], st.Size()-1); err != nil {
-		return fmt.Errorf("ledger: %w", err)
-	}
-	if last[0] == '\n' {
-		return nil
-	}
-	runlog.L().Warn(evTornTail, "path", path, "bytes", st.Size())
-	if _, err := f.Write([]byte{'\n'}); err != nil {
-		return fmt.Errorf("ledger: heal torn tail of %s: %w", path, err)
-	}
-	return nil
+	return &Ledger{f: f}, nil
 }
 
 // Path returns the ledger file path.
-func (l *Ledger) Path() string { return l.path }
+func (l *Ledger) Path() string { return l.f.Path() }
 
-// Append journals one envelope: a single newline-terminated write on the
-// O_APPEND descriptor, synced to the OS before returning, so two
-// processes appending concurrently interleave whole lines and a kill
-// after Append cannot lose the record.
+// Append journals one envelope as a single line, synced to the OS before
+// returning, so two processes appending concurrently interleave whole
+// lines and a kill after Append cannot lose the record.
 func (l *Ledger) Append(e Envelope) error {
 	e.Type = "run"
-	line, err := json.Marshal(e)
-	if err != nil {
+	if err := l.f.Append(e); err != nil {
 		appendErrors.Inc()
-		return fmt.Errorf("ledger: encode run %s: %w", e.RunID, err)
-	}
-	line = append(line, '\n')
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.Write(line); err != nil {
-		appendErrors.Inc()
-		runlog.L().Warn(evAppendError, "path", l.path, "err", err.Error())
-		return fmt.Errorf("ledger: append to %s: %w", l.path, err)
+		runlog.L().Warn(evAppendError, "path", l.Path(), "err", err.Error())
+		return fmt.Errorf("ledger: append run %s to %s: %w", e.RunID, l.Path(), err)
 	}
 	if err := l.f.Sync(); err != nil {
 		appendErrors.Inc()
-		return fmt.Errorf("ledger: sync %s: %w", l.path, err)
+		return fmt.Errorf("ledger: sync %s: %w", l.Path(), err)
 	}
 	appendsOK.Inc()
-	runlog.L().Info(evAppend, "path", l.path, "ledger_run_id", e.RunID, "status", e.Status, "artifacts", len(e.Artifacts))
+	runlog.L().Info(evAppend, "path", l.Path(), "ledger_run_id", e.RunID, "status", e.Status, "artifacts", len(e.Artifacts))
 	return nil
 }
 
 // Close releases the file handle. Appended records are already durable.
-func (l *Ledger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
-}
+func (l *Ledger) Close() error { return l.f.Close() }
 
 // Log is a parsed ledger.
 type Log struct {
@@ -300,15 +248,8 @@ func ReadFile(path string) (*Log, error) {
 }
 
 func parse(data []byte) *Log {
-	lines, tail := recorder.SplitTailTolerant(data)
-	lg := &Log{}
-	if len(tail) > 0 {
-		if json.Valid(tail) {
-			lines = append(lines, tail)
-		} else {
-			lg.Truncated = true
-		}
-	}
+	lines, torn := jsonl.Split(data)
+	lg := &Log{Truncated: torn}
 	for _, raw := range lines {
 		if len(raw) == 0 {
 			continue
@@ -478,28 +419,14 @@ func GC(path string, dryRun bool) (kept, pruned []Envelope, err error) {
 	if dryRun || len(pruned) == 0 {
 		return kept, pruned, nil
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ledger: gc: %w", err)
-	}
-	enc := json.NewEncoder(f)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for _, e := range kept {
-		if err == nil {
-			err = enc.Encode(e)
+		if err := enc.Encode(e); err != nil {
+			return nil, nil, fmt.Errorf("ledger: gc: %w", err)
 		}
 	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := jsonl.WriteAtomic(path, buf.Bytes()); err != nil {
 		return nil, nil, fmt.Errorf("ledger: gc: %w", err)
 	}
 	runsPruned.Add(int64(len(pruned)))

@@ -18,7 +18,6 @@ package recorder
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"hetarch/internal/jsonl"
 	"hetarch/internal/obs"
 	"hetarch/internal/obs/runlog"
 )
@@ -196,29 +196,11 @@ func (w *FileWriter) FinalizeAtomic(fin Final) error {
 	if err != nil {
 		return err
 	}
-	tmp := w.path + ".tmp"
-	tf, err := os.Create(tmp)
-	if err != nil {
+	data = append(append(data, line...), '\n')
+	if err := jsonl.WriteAtomic(w.path, data); err != nil {
 		return err
 	}
-	if _, err := tf.Write(data); err == nil {
-		_, err = tf.Write(append(line, '\n'))
-	}
-	if err == nil {
-		err = tf.Sync()
-	}
-	if cerr := tf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	runlog.L().Info(evFinalized, "path", w.path, "bytes", len(data)+len(line)+1)
+	runlog.L().Info(evFinalized, "path", w.path, "bytes", len(data))
 	return w.f.Close()
 }
 
@@ -262,24 +244,6 @@ func (r *Run) TotalErrors() int64 {
 	return n
 }
 
-// SplitTailTolerant splits a JSONL artifact into its newline-terminated
-// lines plus the unterminated tail, if any. The writers here terminate
-// every record with a newline before flushing, so a non-empty tail is the
-// signature of a process killed mid-write; readers treat a tail that does
-// not parse as a dropped partial record rather than corruption. The
-// checkpoint store shares this discipline.
-func SplitTailTolerant(data []byte) (lines [][]byte, tail []byte) {
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			return lines, data
-		}
-		lines = append(lines, data[:nl])
-		data = data[nl+1:]
-	}
-	return lines, nil
-}
-
 // Read parses a JSONL artifact. It requires the header to be the first
 // record, tolerates a missing final record and a partial (crash-truncated)
 // last line — reported via Run.Truncated — and skips record types it does
@@ -289,17 +253,10 @@ func Read(r io.Reader) (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recorder: %w", err)
 	}
-	lines, tail := SplitTailTolerant(data)
-	run := &Run{}
-	if len(tail) > 0 {
-		// A tail that parses is a complete record whose newline was lost;
-		// anything else is the torn write of a killed process — drop it.
-		if json.Valid(tail) {
-			lines = append(lines, tail)
-		} else {
-			run.Truncated = true
-			runlog.L().Warn(evTornTail, "bytes", len(tail))
-		}
+	lines, torn := jsonl.Split(data)
+	run := &Run{Truncated: torn}
+	if torn {
+		runlog.L().Warn(evTornTail)
 	}
 	sawHeader := false
 	for i, raw := range lines {

@@ -37,6 +37,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hetarch/internal/splitmix"
 )
 
 // crockford is the Crockford base32 alphabet (no i, l, o, u), lowercased
@@ -47,23 +49,13 @@ const crockford = "0123456789abcdefghjkmnpqrstvwxyz"
 // which the top two are always zero (48-bit timestamp + 80-bit entropy).
 const IDLen = 26
 
-// splitmix64 is the SplitMix64 output mix — the same stream splitter the
-// mc engine uses for shard seeds, reused here so the entropy half of an ID
-// is decorrelated across adjacent seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // NewID mints the run ID for a run started at t with the given base seed.
 // The result is deterministic: equal (t, seed) pairs yield equal IDs, so a
 // test that pins both pins the ID.
 func NewID(t time.Time, seed int64) string {
 	ms := uint64(t.UnixMilli()) & (1<<48 - 1)
-	e1 := splitmix64(uint64(seed) ^ ms*0x9e3779b97f4a7c15)
-	e2 := splitmix64(e1 + uint64(seed))
+	e1 := splitmix.Mix(uint64(seed) ^ ms*0x9e3779b97f4a7c15)
+	e2 := splitmix.Mix(e1 + uint64(seed))
 
 	// 128-bit big-endian value: 48-bit ms, 64 bits of e1, low 16 of e2.
 	hi := ms<<16 | e1>>48

@@ -346,7 +346,10 @@ func TestServeUnderLoad(t *testing.T) {
 
 	// The engine runs continuously until every load client is done, so all
 	// scrapes and downloads land mid-run.
-	want := mc.Run(cfg, runner)
+	want, err := mc.RunContext(context.Background(), cfg, runner)
+	if err != nil {
+		t.Fatal(err)
+	}
 	stopRun := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() {
@@ -357,8 +360,8 @@ func TestServeUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			if got := mc.Run(cfg, runner); got != want {
-				runDone <- fmt.Errorf("tally under load %+v != baseline %+v", got, want)
+			if got, err := mc.RunContext(context.Background(), cfg, runner); err != nil || got != want {
+				runDone <- fmt.Errorf("tally under load %+v (err %v) != baseline %+v", got, err, want)
 				return
 			}
 		}

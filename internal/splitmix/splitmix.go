@@ -35,6 +35,19 @@ func New(seed int64) *RNG {
 // O(1), which is what makes one-RNG-per-worker, reseed-per-shard free.
 func (s *RNG) Seed(seed int64) { s.state = uint64(seed) }
 
+// Mix returns the SplitMix64 output of state x: the golden-gamma
+// increment followed by the finalizer, so Mix(uint64(s)) ==
+// New(s).Uint64(). Callers use it as a stateless stream splitter (Steele,
+// Lea, Flood: "Fast splittable pseudorandom number generators").
+// Uint64 keeps its own copy so the sampling hot loop's inlining does not
+// depend on this function's.
+func Mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // Uint64 advances the state by the golden-gamma increment and returns the
 // SplitMix64 mix of the new state.
 func (s *RNG) Uint64() uint64 {

@@ -83,3 +83,14 @@ func TestDistinctSeedsDiverge(t *testing.T) {
 		t.Fatalf("seeds 1 and 2 collided on %d of 64 draws", same)
 	}
 }
+
+// TestMixIsFirstDraw: the stateless Mix must equal the first output of a
+// generator seeded with the same value, which is what lets mc.StreamSeed,
+// run IDs and fabric jitter share it bit-identically with RNG.Uint64.
+func TestMixIsFirstDraw(t *testing.T) {
+	for _, s := range []int64{0, 1, -1, 7, 42, 20231028, 1 << 62, -1 << 63} {
+		if got, want := Mix(uint64(s)), New(s).Uint64(); got != want {
+			t.Fatalf("Mix(%d) = %#x, New(%d).Uint64() = %#x", s, got, s, want)
+		}
+	}
+}
