@@ -4,6 +4,7 @@ package hetarch
 // be usable end to end exactly as the examples use them.
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -120,7 +121,10 @@ func TestFacadeSurfaceMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := m.Run(300, 5)
+	res, err := m.RunContext(context.Background(), 300, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Shots != 300 {
 		t.Fatal("run accounting wrong")
 	}
@@ -132,7 +136,10 @@ func TestFacadeUEC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := m.Run(500, 7)
+	r, err := m.RunContext(context.Background(), 500, 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.LogicalErrorRate() < 0 || r.LogicalErrorRate() > 1 {
 		t.Fatal("rate out of range")
 	}
@@ -142,7 +149,7 @@ func TestFacadeCodeTeleport(t *testing.T) {
 	p := NewCodeTeleportParams(SteaneCode(), SurfaceCode(3), 25, true)
 	p.NativeB = true
 	p.Shots = 800
-	r, err := CodeTeleport(p)
+	r, err := CodeTeleport(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +188,10 @@ func TestFacadePseudothreshold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bisection")
 	}
-	pt, ok := UECPseudothreshold(NewUECParams(SteaneCode(), 50, true), 1500, 9)
+	pt, ok, err := UECPseudothreshold(context.Background(), NewUECParams(SteaneCode(), 50, true), 1500, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ok || pt <= 0 || math.IsNaN(pt) {
 		t.Fatalf("pseudothreshold (%v, %v)", pt, ok)
 	}
@@ -206,7 +216,10 @@ func TestFacadeStateVectorAndMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := mem.Run(400, 3)
+	res, err := mem.RunContext(context.Background(), 400, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Shots != 400 {
 		t.Fatal("memory run accounting wrong")
 	}

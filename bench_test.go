@@ -37,7 +37,7 @@ func BenchmarkTable1DeviceCatalog(b *testing.B) {
 
 func BenchmarkTable2StandardCells(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.Table2(io.Discard); err != nil {
+		if err := experiments.Table2(io.Discard, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +101,9 @@ func BenchmarkTable4CodeTeleportationMatrix(b *testing.B) {
 func BenchmarkDSESpeedup(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			experiments.DSEDemo()
+			if _, err := experiments.DSE(context.Background(), experiments.DSEOptions{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("persistent-cold", func(b *testing.B) {
@@ -258,7 +260,9 @@ func BenchmarkAblationSerialVsParallel(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Run(100, int64(i))
+				if _, err := e.RunContext(context.Background(), 100, int64(i), 1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -288,7 +292,9 @@ func BenchmarkSurfaceSharded(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e.RunSharded(4096, int64(i), workers)
+				if _, err := e.RunContext(context.Background(), 4096, int64(i), workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -326,7 +332,9 @@ func BenchmarkAblationScheduleOptimizer(b *testing.B) {
 			b.ReportMetric(e.CycleDuration, "us/cycle")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Run(100, int64(i))
+				if _, err := e.RunContext(context.Background(), 100, int64(i), 1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

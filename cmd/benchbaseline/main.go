@@ -73,12 +73,12 @@ func main() {
 			if _, err := experiments.Fig9(ctx, sc, *seed); err != nil {
 				fatal(err)
 			}
-		}, steadyUEC(qec.Steane(), true, false)},
+		}, steadyUEC(ctx, qec.Steane(), true, false)},
 		{"table3", "quick", func() {
 			if _, err := experiments.Table3(ctx, sc, *seed); err != nil {
 				fatal(err)
 			}
-		}, steadyUEC(qec.TriColor5(), false, false)},
+		}, steadyUEC(ctx, qec.TriColor5(), false, false)},
 		// dse is characterization-shaped, not shot-shaped: its entry records
 		// wall time of a cold in-memory sweep (shots stay 0), anchoring the
 		// warm-vs-cold cache benchmarks in bench_test.go.
@@ -234,7 +234,7 @@ const steadyAllocShots = 1 << 19
 // only the bit-parallel sample + sparse transpose + lookup-decode loop
 // (plus amortized worker setup) — construction is excluded by design.
 // Serial (one worker) so scheduler allocations never pollute the count.
-func steadyUEC(code *qec.Code, het, native bool) func(seed int64) float64 {
+func steadyUEC(ctx context.Context, code *qec.Code, het, native bool) func(seed int64) float64 {
 	return func(seed int64) float64 {
 		p := uec.DefaultParams(code, 50, het)
 		p.NativePlacement = native
@@ -242,11 +242,16 @@ func steadyUEC(code *qec.Code, het, native bool) func(seed int64) float64 {
 		if err != nil {
 			fatal(err)
 		}
-		e.RunSharded(steadyAllocShots/8, seed, 1) // warm-up: grow all arenas
+		if _, err := e.RunContext(ctx, steadyAllocShots/8, seed, 1); err != nil { // warm-up: grow all arenas
+			fatal(err)
+		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		e.RunSharded(steadyAllocShots, seed, 1)
+		_, err = e.RunContext(ctx, steadyAllocShots, seed, 1)
 		runtime.ReadMemStats(&m1)
+		if err != nil {
+			fatal(err)
+		}
 		return float64(m1.Mallocs-m0.Mallocs) / float64(steadyAllocShots)
 	}
 }

@@ -34,7 +34,7 @@ func buildRunners(ctx context.Context, sc experiments.Scale, seed int64, workers
 	charStore core.CharacterizationStore) map[string]func() error {
 	return map[string]func() error{
 		"devices": func() error { experiments.Table1(stdout); return nil },
-		"cells":   func() error { return experiments.Table2Store(stdout, charStore) },
+		"cells":   func() error { return experiments.Table2(stdout, charStore) },
 		"fig3":    emit(func() (*experiments.Table, error) { return experiments.Fig3(ctx, sc, seed) }),
 		"fig4":    emit(func() (*experiments.Table, error) { return experiments.Fig4(ctx, sc, seed) }),
 		"fig6":    emit(func() (*experiments.Table, error) { return experiments.Fig6(ctx, sc, seed) }),

@@ -431,11 +431,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				"shards_done", n, "from_run", resumedFrom)
 		}
 		cpFile = cp
-		mc.SetCheckpoint(cp)
-		defer func() {
-			mc.SetCheckpoint(nil)
-			cp.Close()
-		}()
+		defer cp.Close()
+		// The scope numbers this process's runs from zero in the order the
+		// experiment issues them, so a resume keys every shard identically.
+		ctx = mc.WithCheckpoint(ctx, cp)
 	}
 
 	// -fabric turns this process into the sweep coordinator: Tally-shaped

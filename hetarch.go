@@ -306,9 +306,10 @@ func NewUECModule(p UECParams) (*UECModule, error) { return uec.New(p) }
 
 // UECPseudothreshold locates the module's gate-error break-even point,
 // sampling each grid point on all cores (the fitted value is worker-count
-// independent; see internal/mc).
-func UECPseudothreshold(base UECParams, shots int, seed int64) (float64, bool) {
-	return uec.Pseudothreshold(base, shots, seed, 0)
+// independent; see internal/mc). Cancelling ctx abandons the fit and
+// returns the engine's error.
+func UECPseudothreshold(ctx context.Context, base UECParams, shots int, seed int64) (float64, bool, error) {
+	return uec.PseudothresholdContext(ctx, base, shots, seed, 0)
 }
 
 // Code teleportation (Section 4.3).
@@ -324,9 +325,10 @@ func NewCodeTeleportParams(a, b *Code, tsMillis float64, heterogeneous bool) Cod
 	return codetelep.DefaultParams(a, b, tsMillis, heterogeneous)
 }
 
-// CodeTeleport evaluates the CT module error model.
-func CodeTeleport(p CodeTeleportParams) (*CodeTeleportResult, error) {
-	return codetelep.Evaluate(p)
+// CodeTeleport evaluates the CT module error model. Cancelling ctx aborts
+// the Monte Carlo sub-module runs and returns the engine's error.
+func CodeTeleport(ctx context.Context, p CodeTeleportParams) (*CodeTeleportResult, error) {
+	return codetelep.EvaluateContext(ctx, p)
 }
 
 // Protocol-level code teleportation (Fig. 10).

@@ -10,6 +10,7 @@ import (
 
 	"hetarch/internal/densmat"
 	"hetarch/internal/linalg"
+	"hetarch/internal/stabsim"
 )
 
 // Pair is a Bell-diagonal two-qubit state, the closure of Bell states under
@@ -76,31 +77,14 @@ func applyPauliOneSide(p [4]float64, px, py, pz float64) [4]float64 {
 func (p Pair) Decohere(dt float64, t1A, t2A, t1B, t2B float64) Pair {
 	out := p.P
 	if t1A > 0 {
-		px, py, pz := idlePauli(dt, t1A, t2A)
+		px, py, pz := stabsim.IdlePauliChannel(dt, t1A, t2A)
 		out = applyPauliOneSide(out, px, py, pz)
 	}
 	if t1B > 0 {
-		px, py, pz := idlePauli(dt, t1B, t2B)
+		px, py, pz := stabsim.IdlePauliChannel(dt, t1B, t2B)
 		out = applyPauliOneSide(out, px, py, pz)
 	}
 	return Pair{P: out}
-}
-
-// idlePauli is the same twirl as stabsim.IdlePauliChannel, duplicated here
-// to keep the package dependency-light; both are covered by tests.
-func idlePauli(dt, t1, t2 float64) (px, py, pz float64) {
-	pT1 := 1 - math.Exp(-dt/t1)
-	if t2 <= 0 || t2 > 2*t1 {
-		t2 = 2 * t1
-	}
-	pT2 := 1 - math.Exp(-dt/t2)
-	px = pT1 / 4
-	py = pT1 / 4
-	pz = pT2/2 - pT1/4
-	if pz < 0 {
-		pz = 0
-	}
-	return
 }
 
 // DEJMPS consumes two pairs and returns the distilled output pair, the

@@ -128,31 +128,3 @@ func (r *DSEResult) FprintDSEStats(w io.Writer) {
 	fmt.Fprintf(w, "dse: %d grid points, %d characterizations requested, %d served from cache (%.0f%%)\n",
 		len(r.Results), r.Calls, r.Hits, 100*float64(r.Hits)/float64(r.Calls))
 }
-
-// DSEDemo runs DSE at default settings with an in-memory cache. It is the
-// historical entry point kept for the facade and benchmarks; new callers
-// should use DSE directly.
-func DSEDemo() (results []core.Result, front []core.Result, calls, hits int) {
-	r, err := DSE(context.Background(), DSEOptions{})
-	if err != nil {
-		panic(err)
-	}
-	return r.Results, r.Front, r.Calls, r.Hits
-}
-
-// FprintDSE renders the DSE demo summary (results and cache accounting on
-// one stream; the CLI uses DSEResult.Table and FprintDSEStats instead to
-// keep stdout cache-state independent).
-func FprintDSE(w io.Writer) {
-	results, front, calls, hits := DSEDemo()
-	fmt.Fprintln(w, "== Design-space exploration (Register cell) ==")
-	fmt.Fprintf(w, "grid points evaluated: %d\n", len(results))
-	fmt.Fprintf(w, "cell characterizations requested: %d, served from cache: %d (%.0f%%)\n",
-		calls, hits, 100*float64(hits)/float64(calls))
-	fmt.Fprintf(w, "Pareto front (min storedError, min footprint): %d points\n", len(front))
-	for _, r := range front {
-		fmt.Fprintf(w, "  ts=%gms modes=%g window=%gus -> storedError=%.3g footprint=%.0fmm^2\n",
-			r.Point["tsMillis"], r.Point["modes"], r.Point["idleWindowUs"],
-			r.Metrics["storedError"], r.Metrics["footprint"])
-	}
-}

@@ -23,7 +23,7 @@ func TestTable1Prints(t *testing.T) {
 
 func TestTable2Prints(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Table2(&buf); err != nil {
+	if err := Table2(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -216,20 +216,18 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestDSECacheWorks(t *testing.T) {
-	results, front, calls, hits := DSEDemo()
-	if len(results) != 70 {
-		t.Fatalf("grid size %d", len(results))
+	r, err := DSE(context.Background(), DSEOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hits*10 < calls*7 {
-		t.Fatalf("cache hit rate too low: %d/%d", hits, calls)
+	if len(r.Results) != 70 {
+		t.Fatalf("grid size %d", len(r.Results))
 	}
-	if len(front) == 0 {
+	if r.Hits*10 < r.Calls*7 {
+		t.Fatalf("cache hit rate too low: %d/%d", r.Hits, r.Calls)
+	}
+	if len(r.Front) == 0 {
 		t.Fatal("empty Pareto front")
-	}
-	var buf bytes.Buffer
-	FprintDSE(&buf)
-	if !strings.Contains(buf.String(), "Pareto front") {
-		t.Fatal("summary missing")
 	}
 }
 

@@ -27,15 +27,11 @@ func Table1(w io.Writer) {
 }
 
 // Table2 prints the standard cells with design-rule verification and
-// density-matrix characterization (paper Table 2), paying full simulation
-// for every cell.
-func Table2(w io.Writer) error { return Table2Store(w, nil) }
-
-// Table2Store is Table2 with characterization routed through a
-// CharacterizationStore: with a persistent store (-cache-dir), a warm run
-// prints the identical table while skipping density-matrix simulation.
-// A nil store characterizes directly, the historical behaviour.
-func Table2Store(w io.Writer, store core.CharacterizationStore) error {
+// density-matrix characterization (paper Table 2). A nil store pays full
+// simulation for every cell; with a persistent CharacterizationStore
+// (-cache-dir), a warm run prints the identical table while skipping
+// density-matrix simulation.
+func Table2(w io.Writer, store core.CharacterizationStore) error {
 	characterize := func(c *cell.Cell, fn func(*cell.Cell) (*cell.Characterization, error)) (*cell.Characterization, error) {
 		return fn(c)
 	}

@@ -215,8 +215,8 @@ type Result struct {
 // shard-boundary cancellation). dir is the job's private artifact
 // directory; progress reports sampled shots for the SSE stream. A runner
 // that wants crash-tolerant resume opens a checkpoint in dir and installs
-// it with mc.WithCheckpoint — never mc.SetCheckpoint, which is
-// process-global and would be shared across concurrent jobs.
+// it with mc.WithCheckpoint, whose scope keeps its run numbering apart
+// from every other job's.
 type Runner func(ctx context.Context, job Job, dir string, progress func(delta int64)) (Result, error)
 
 // Config configures a Manager.

@@ -81,11 +81,9 @@ func TestChaosResumeRoundTripBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc.SetCheckpoint(cp)
 		mc.SetFaultInjector(in)
-		partial, err := mc.RunContext(ctx, cfg, testRunner)
+		partial, err := mc.RunContext(mc.WithCheckpoint(ctx, cp), cfg, testRunner)
 		mc.SetFaultInjector(nil)
-		mc.SetCheckpoint(nil)
 		cancel()
 		cp.Close()
 
@@ -107,9 +105,7 @@ func TestChaosResumeRoundTripBitIdentical(t *testing.T) {
 			t.Fatalf("chaos=%d: resumed %d shards, interrupted run completed %d", chaosSeed, cp2.Resumed(), len(pe.Completed))
 		}
 		tr := &tracker{}
-		mc.SetCheckpoint(cp2)
-		got, err := mc.RunContext(context.Background(), cfg, tr.runner)
-		mc.SetCheckpoint(nil)
+		got, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp2), cfg, tr.runner)
 		cp2.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -142,13 +138,11 @@ func TestChaosResumeAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.SetCheckpoint(cp)
 	mc.SetFaultInjector(in)
-	if _, err := mc.RunContext(ctx, cfg, testRunner); err == nil {
+	if _, err := mc.RunContext(mc.WithCheckpoint(ctx, cp), cfg, testRunner); err == nil {
 		t.Fatal("expected interruption")
 	}
 	mc.SetFaultInjector(nil)
-	mc.SetCheckpoint(nil)
 	cancel()
 	cp.Close()
 
@@ -157,11 +151,9 @@ func TestChaosResumeAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc.SetCheckpoint(cp)
 		c := cfg
 		c.Workers = w
-		got, err := mc.RunContext(context.Background(), c, testRunner)
-		mc.SetCheckpoint(nil)
+		got, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp), c, testRunner)
 		cp.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -182,11 +174,9 @@ func TestChaosResumeUnderShardPanics(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	in := chaos.New(8).CancelAfter(12, cancel)
 	cp, _ := Open(path, meta())
-	mc.SetCheckpoint(cp)
 	mc.SetFaultInjector(in)
-	mc.RunContext(ctx, cfg, testRunner)
+	mc.RunContext(mc.WithCheckpoint(ctx, cp), cfg, testRunner)
 	mc.SetFaultInjector(nil)
-	mc.SetCheckpoint(nil)
 	cancel()
 	cp.Close()
 
@@ -199,11 +189,9 @@ func TestChaosResumeUnderShardPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.SetCheckpoint(cp2)
 	mc.SetFaultInjector(in2)
-	got, err := mc.RunContext(context.Background(), cfg, testRunner)
+	got, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp2), cfg, testRunner)
 	mc.SetFaultInjector(nil)
-	mc.SetCheckpoint(nil)
 	cp2.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -224,11 +212,9 @@ func TestTruncatedTailDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.SetCheckpoint(cp)
-	if _, err := mc.RunContext(context.Background(), cfg, testRunner); err != nil {
+	if _, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp), cfg, testRunner); err != nil {
 		t.Fatal(err)
 	}
-	mc.SetCheckpoint(nil)
 	cp.Close()
 
 	// Tear the final record mid-line, as a kill during the write would.
@@ -248,9 +234,7 @@ func TestTruncatedTailDropped(t *testing.T) {
 	if cp2.Resumed() != 9 { // 10 shards recorded, last one torn
 		t.Fatalf("resumed %d shards from torn file, want 9", cp2.Resumed())
 	}
-	mc.SetCheckpoint(cp2)
-	got, err := mc.RunContext(context.Background(), cfg, testRunner)
-	mc.SetCheckpoint(nil)
+	got, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp2), cfg, testRunner)
 	cp2.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -269,9 +253,9 @@ func TestTruncatedTailHealKeepsIntactPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc.SetCheckpoint(cp)
-	mustRun(t, mc.Config{Shots: 2_560, Seed: 7, Workers: 1}, testRunner)
-	mc.SetCheckpoint(nil)
+	if _, err := mc.RunContext(mc.WithCheckpoint(context.Background(), cp), mc.Config{Shots: 2_560, Seed: 7, Workers: 1}, testRunner); err != nil {
+		t.Fatal(err)
+	}
 	cp.Close()
 
 	// An unknown record type in the interior must survive the heal too.

@@ -1,6 +1,6 @@
 // Resilient execution layer of the mc engine: context-aware dispatch,
-// per-shard panic isolation with bounded same-stream retries, and the
-// process-wide checkpoint and fault-injection hooks.
+// per-shard panic isolation with bounded same-stream retries, the
+// context-scoped checkpoint binding, and the test-only fault injector.
 //
 // The layer exploits the engine's deterministic shard decomposition: a
 // cancelled or faulted run still returns the pooled tally of every shard
@@ -122,10 +122,11 @@ type Checkpoint interface {
 	Record(key RunKey, sh Shard, t Tally) error
 }
 
-// RunKey identifies one RunContext invocation within a process. Runs are
-// numbered by a process-wide sequence counter: experiment code executes its
-// sub-runs in a deterministic order, so the same (Run, Shots, Seed,
-// ShardSize) tuple names the same sub-run across an interrupt/resume pair.
+// RunKey identifies one RunContext invocation within a checkpoint scope.
+// Runs are numbered by the scope's sequence counter: experiment code
+// executes its sub-runs in a deterministic order, so the same (Run, Shots,
+// Seed, ShardSize) tuple names the same sub-run across an interrupt/resume
+// pair.
 type RunKey struct {
 	Run       int   `json:"run"`
 	Shots     int   `json:"shots"`
@@ -134,27 +135,9 @@ type RunKey struct {
 }
 
 var (
-	hookMu    sync.Mutex
-	ckptStore Checkpoint
-	injector  FaultInjector
-	runSeq    atomic.Int64
+	hookMu   sync.Mutex
+	injector FaultInjector
 )
-
-// SetCheckpoint installs (nil removes) the process-wide checkpoint store
-// consulted by every RunContext call, and resets the run-sequence counter
-// so a resuming process numbers its runs identically to the interrupted
-// one. Call it before the experiment starts, never mid-run.
-//
-// A process that runs a single experiment at a time (the CLI) can use this
-// global hook; a process multiplexing several experiments concurrently
-// (the hetarchd job service) must give each its own store via
-// WithCheckpoint, which also scopes the run-sequence numbering.
-func SetCheckpoint(c Checkpoint) {
-	hookMu.Lock()
-	ckptStore = c
-	hookMu.Unlock()
-	runSeq.Store(0)
-}
 
 // ckptScope is a context-scoped checkpoint binding: the store plus its own
 // run-sequence counter, so two experiments running concurrently in one
@@ -169,12 +152,12 @@ type ckptScope struct {
 type ckptScopeKey struct{}
 
 // WithCheckpoint returns a context that binds every RunContext call under
-// it to its own checkpoint store and run-sequence counter, overriding the
-// process-global SetCheckpoint hook. Unlike SetCheckpoint it is safe for
-// any number of concurrent scopes: each scope numbers its runs
+// it to its own checkpoint store and run-sequence counter. Install it
+// before the experiment starts, on the context its runners receive. Any
+// number of scopes may run concurrently: each numbers its runs
 // independently from zero, in the deterministic order the experiment code
-// issues them. A nil store yields a scope that checkpoints nothing (but
-// still isolates run numbering).
+// issues them. A nil store, like a run outside any scope, checkpoints
+// nothing.
 func WithCheckpoint(ctx context.Context, cp Checkpoint) context.Context {
 	return context.WithValue(ctx, ckptScopeKey{}, &ckptScope{cp: cp})
 }
@@ -192,10 +175,10 @@ func SetFaultInjector(fi FaultInjector) {
 	hookMu.Unlock()
 }
 
-func currentHooks() (Checkpoint, FaultInjector) {
+func currentInjector() FaultInjector {
 	hookMu.Lock()
 	defer hookMu.Unlock()
-	return ckptStore, injector
+	return injector
 }
 
 // runShard executes one shard attempt under recover, converting a worker
@@ -244,7 +227,7 @@ func MapShardsContext[T any](ctx context.Context, cfg Config, newWorker func() f
 	out := make([]T, len(shards))
 	done := make([]bool, len(shards))
 	retries := cfg.shardRetries()
-	_, fi := currentHooks()
+	fi := currentInjector()
 
 	runCtx, stop := context.WithCancel(ctx)
 	defer stop()
@@ -393,7 +376,7 @@ func mergeTraced(shards int, fold func()) {
 // shards that completed; when that is not all of them, the error is a
 // *PartialError whose Completed set the tally covers.
 //
-// When a checkpoint store is installed (SetCheckpoint), each shard is
+// Under a checkpoint scope (WithCheckpoint) with a store, each shard is
 // looked up before execution — a hit reuses the recorded tally without
 // re-sampling (obs counters do not re-tick for resumed shards) — and
 // recorded durably after it completes, so killing the process at any shard
@@ -406,25 +389,15 @@ func RunContext(ctx context.Context, cfg Config, newWorker func() ShardRunner) (
 	if rem := RemoteFrom(ctx); rem != nil {
 		return rem.RunTally(ctx, cfg, newWorker)
 	}
-	// A context-scoped checkpoint binding (WithCheckpoint) shadows the
-	// process-global hook AND the global run-sequence counter: scoped runs
-	// number themselves within their scope, so concurrent scopes cannot
-	// perturb each other's checkpoint keys.
-	var cp Checkpoint
-	var runNo int
-	if scope := checkpointScope(ctx); scope != nil {
-		cp = scope.cp
-		runNo = int(scope.seq.Add(1)) - 1
-	} else {
-		cp, _ = currentHooks()
-		runNo = int(runSeq.Add(1)) - 1
-	}
-	key := RunKey{Run: runNo, Shots: cfg.Shots, Seed: cfg.Seed, ShardSize: cfg.shardSize()}
-
+	// Scoped runs number themselves within their scope (WithCheckpoint), so
+	// concurrent scopes cannot perturb each other's checkpoint keys. A run
+	// outside any scope mints no key and checkpoints nothing.
 	runCtx := ctx
 	build := newWorker
 	var recordErr atomic.Pointer[error]
-	if cp != nil {
+	if scope := checkpointScope(ctx); scope != nil && scope.cp != nil {
+		cp := scope.cp
+		key := RunKey{Run: int(scope.seq.Add(1)) - 1, Shots: cfg.Shots, Seed: cfg.Seed, ShardSize: cfg.shardSize()}
 		var cancel context.CancelFunc
 		runCtx, cancel = context.WithCancel(ctx)
 		defer cancel()

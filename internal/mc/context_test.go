@@ -400,32 +400,6 @@ func TestWithCheckpointScopesRunNumbering(t *testing.T) {
 	_ = tallyB
 }
 
-// TestWithCheckpointShadowsGlobal: a context scope must win over (and not
-// disturb) the process-global SetCheckpoint hook and its run numbering.
-func TestWithCheckpointShadowsGlobal(t *testing.T) {
-	global, scoped := newMemCheckpoint(), newMemCheckpoint()
-	mc.SetCheckpoint(global)
-	defer mc.SetCheckpoint(nil)
-
-	cfg := mc.Config{Shots: 1000, Seed: 5, Workers: 1}
-	if _, err := mc.RunContext(mc.WithCheckpoint(context.Background(), scoped), cfg, countingRunner); err != nil {
-		t.Fatal(err)
-	}
-	if global.records != 0 {
-		t.Fatalf("scoped run leaked %d records into the global store", global.records)
-	}
-	if scoped.records == 0 {
-		t.Fatal("scoped store recorded nothing")
-	}
-	// The global sequence was untouched: the next unscoped run is run 0.
-	if _, err := mc.RunContext(context.Background(), cfg, countingRunner); err != nil {
-		t.Fatal(err)
-	}
-	if got := global.runNumbers(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("global run numbering disturbed by scoped run: %v", got)
-	}
-}
-
 // TestWithCheckpointNilStore: a nil-store scope isolates run numbering but
 // checkpoints nothing, and must not panic.
 func TestWithCheckpointNilStore(t *testing.T) {

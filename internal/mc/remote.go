@@ -12,7 +12,7 @@
 // shard set across any set of machines pools to counts bit-identical to a
 // local run.
 //
-// The Remote is context-scoped, not process-global like SetCheckpoint: an
+// The Remote is context-scoped, like the checkpoint binding: an
 // in-process chaos test can run a coordinator and several workers in one
 // process, each with its own engine and its own run-sequence counter.
 package mc
@@ -21,7 +21,7 @@ import "context"
 
 // Remote executes a Tally-shaped run's shard decomposition somewhere other
 // than the local worker pool. RunContext delegates to it before minting a
-// local run key or consulting the process-wide checkpoint hook — a Remote
+// local run key or consulting the context's checkpoint scope — a Remote
 // owns run numbering, checkpointing, and merging for the runs it handles.
 //
 // Implementations must preserve the engine's contract: the pooled tally is
@@ -64,7 +64,7 @@ func (c Config) ShardSizeOrDefault() int { return c.shardSize() }
 // Remote executors use it so chaos schedules written against the engine
 // hooks drive fabric-executed shards too.
 func RunShardIsolated(run ShardRunner, sh Shard, attempt int) (Tally, *ShardFault) {
-	_, fi := currentHooks()
+	fi := currentInjector()
 	t, fault := runShard(run, sh, attempt, fi)
 	if fault != nil {
 		fault.Attempts = attempt

@@ -131,36 +131,22 @@ func (r Result) PerCycleCI(confidence float64) stats.Interval {
 	})
 }
 
-// Run samples the experiment with the bit-parallel batch frame sampler
-// (64 shots per pass), decodes every shot with the union–find decoder, and
-// counts logical errors (decoder prediction disagreeing with the true
-// observable flip). It is RunSharded at one worker: the same shard streams
-// run inline, so counts match a parallel run bit for bit.
-func (e *Experiment) Run(shots int, seed int64) Result {
-	return e.RunSharded(shots, seed, 1)
-}
-
-// RunSharded distributes the shot budget across worker goroutines via the mc
-// engine. Each worker owns a sampler and a cloned union–find decoder; each
-// shard re-seeds the worker's sampler with its deterministic stream, so the
-// pooled (shots, errors) are bit-identical for any worker count (workers <= 0
-// means runtime.NumCPU(), 1 runs serially on the calling goroutine). The obs
-// counters advance once per shard, keeping the progress heartbeat live
-// without per-shot atomics.
-func (e *Experiment) RunSharded(shots int, seed int64, workers int) Result {
-	res, err := e.RunContext(context.Background(), shots, seed, workers)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunContext is RunSharded under a context: cancellation or deadline expiry
-// stops dispatching new shards and returns the pooled tally of the shards
-// that completed, alongside a *mc.PartialError identifying them. With a
-// checkpoint installed (mc.SetCheckpoint) completed shards are persisted and
-// skipped on resume, so an interrupted run can be finished later with
-// bit-identical counts.
+// RunContext samples the experiment with the bit-parallel batch frame
+// sampler (64 shots per pass), decodes every shot with the union–find
+// decoder, and counts logical errors (decoder prediction disagreeing with
+// the true observable flip). The shot budget is distributed across worker
+// goroutines via the mc engine: each worker owns a sampler and a cloned
+// union–find decoder, and each shard re-seeds the worker's sampler with its
+// deterministic stream, so the pooled (shots, errors) are bit-identical for
+// any worker count (workers <= 0 means runtime.NumCPU(), 1 runs serially on
+// the calling goroutine). The obs counters advance once per shard, keeping
+// the progress heartbeat live without per-shot atomics.
+//
+// Cancellation or deadline expiry stops dispatching new shards and returns
+// the pooled tally of the shards that completed, alongside a
+// *mc.PartialError identifying them. Under a checkpoint scope
+// (mc.WithCheckpoint) completed shards are persisted and skipped on resume,
+// so an interrupted run can be finished later with bit-identical counts.
 func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, workers int) (Result, error) {
 	cfg := mc.Config{Shots: shots, Seed: seed, Workers: workers}
 	tally, err := mc.RunContext(ctx, cfg, func() mc.ShardRunner {

@@ -15,19 +15,19 @@ func TestRunShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := e.RunSharded(3000, 11, 1)
+	base := mustRun(t, e, 3000, 11, 1)
 	if base.Shots != 3000 {
 		t.Fatalf("shot accounting wrong: %+v", base)
 	}
 	for _, w := range []int{4, runtime.NumCPU(), 0} {
-		if got := e.RunSharded(3000, 11, w); got != base {
+		if got := mustRun(t, e, 3000, 11, w); got != base {
 			t.Fatalf("workers=%d: %+v != workers=1 %+v", w, got, base)
 		}
 	}
-	if got := e.Run(3000, 11); got != base {
-		t.Fatalf("Run %+v != RunSharded(…, 1) %+v", got, base)
+	if got := mustRun(t, e, 3000, 11, 1); got != base {
+		t.Fatalf("serial rerun %+v != first serial run %+v", got, base)
 	}
-	if again := e.RunSharded(3000, 11, 4); again != base {
+	if again := mustRun(t, e, 3000, 11, 4); again != base {
 		t.Fatal("sharded run not reproducible")
 	}
 }
@@ -37,16 +37,16 @@ func TestMemoryRunShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := m.RunSharded(600, 13, 1)
+	base := mustRun(t, m, 600, 13, 1)
 	if base.Shots != 600 {
 		t.Fatalf("shot accounting wrong: %+v", base)
 	}
 	for _, w := range []int{4, runtime.NumCPU()} {
-		if got := m.RunSharded(600, 13, w); got != base {
+		if got := mustRun(t, m, 600, 13, w); got != base {
 			t.Fatalf("workers=%d: %+v != workers=1 %+v", w, got, base)
 		}
 	}
-	if again := m.RunSharded(600, 13, 4); again != base {
+	if again := mustRun(t, m, 600, 13, 4); again != base {
 		t.Fatal("sharded memory run not reproducible")
 	}
 }
@@ -56,8 +56,8 @@ func TestPseudothresholdWorkerIndependent(t *testing.T) {
 		t.Skip("Monte Carlo grid fit")
 	}
 	base := DefaultParams(qec.Steane(), 50, true)
-	pt1, ok1 := Pseudothreshold(base, 1500, 21, 1)
-	pt4, ok4 := Pseudothreshold(base, 1500, 21, 4)
+	pt1, ok1 := mustPseudothreshold(t, base, 1500, 21, 1)
+	pt4, ok4 := mustPseudothreshold(t, base, 1500, 21, 4)
 	if ok1 != ok4 || pt1 != pt4 {
 		t.Fatalf("pseudothreshold depends on workers: (%v,%v) vs (%v,%v)", pt1, ok1, pt4, ok4)
 	}

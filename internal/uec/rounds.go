@@ -157,30 +157,17 @@ func (m *MemoryExperiment) buildCircuit() {
 	m.circuit = c
 }
 
-// Run samples the experiment and decodes sequentially. The returned result
-// counts shots where the accumulated correction disagrees with the true
-// observable flip. It is RunSharded at one worker, so counts match a
-// parallel run bit for bit.
-func (m *MemoryExperiment) Run(shots int, seed int64) Result {
-	return m.RunSharded(shots, seed, 1)
-}
-
-// RunSharded distributes the shot budget across worker goroutines via the mc
-// engine; each worker owns its scalar frame sampler (one shot here replays
-// the full R-round circuit, so scalar sampling is the right granularity).
-// Pooled (shots, errors) are bit-identical for any worker count.
-func (m *MemoryExperiment) RunSharded(shots int, seed int64, workers int) Result {
-	res, err := m.RunContext(context.Background(), shots, seed, workers)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunContext is RunSharded under a context: cancellation stops dispatching
-// new shards and returns the exact pooled tally of the completed shards
-// alongside a *mc.PartialError; an installed checkpoint makes the run
-// resumable without re-executing completed shards.
+// RunContext samples the experiment and decodes each shot, counting shots
+// where the accumulated correction disagrees with the true observable flip.
+// The shot budget is distributed across worker goroutines via the mc engine;
+// each worker owns its scalar frame sampler (one shot here replays the full
+// R-round circuit, so scalar sampling is the right granularity). Pooled
+// (shots, errors) are bit-identical for any worker count.
+//
+// Cancellation stops dispatching new shards and returns the exact pooled
+// tally of the completed shards alongside a *mc.PartialError; a checkpoint
+// scope (mc.WithCheckpoint) makes the run resumable without re-executing
+// completed shards.
 func (m *MemoryExperiment) RunContext(ctx context.Context, shots int, seed int64, workers int) (Result, error) {
 	k := m.E.numChecks
 	cfg := mc.Config{Shots: shots, Seed: seed, Workers: workers}

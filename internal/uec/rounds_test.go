@@ -33,7 +33,7 @@ func TestMemoryNoiselessPerfect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := m.Run(300, 3); res.LogicalErrors != 0 {
+	if res := mustRun(t, m, 300, 3, 1); res.LogicalErrors != 0 {
 		t.Fatalf("%d errors without noise", res.LogicalErrors)
 	}
 }
@@ -45,7 +45,7 @@ func TestMemoryFailureGrowsWithRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Run(6000, 5).LogicalErrorRate()
+		return mustRun(t, m, 6000, 5, 1).LogicalErrorRate()
 	}
 	one := run(1)
 	five := run(5)
@@ -65,7 +65,7 @@ func TestMemoryPerRoundRateStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.PerRoundErrorRate(m.Run(8000, 7))
+		return m.PerRoundErrorRate(mustRun(t, m, 8000, 7, 1))
 	}
 	r2 := rate(2)
 	r6 := rate(6)
@@ -87,8 +87,8 @@ func TestMemorySingleRoundMatchesExperimentScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr := m.Run(10000, 9).LogicalErrorRate()
-	er := e.Run(10000, 9).LogicalErrorRate()
+	mr := mustRun(t, m, 10000, 9, 1).LogicalErrorRate()
+	er := mustRun(t, e, 10000, 9, 1).LogicalErrorRate()
 	if mr > 2.5*er+0.01 || er > 2.5*mr+0.01 {
 		t.Fatalf("single-round memory %v vs experiment %v", mr, er)
 	}

@@ -514,33 +514,20 @@ func (r Result) CI(confidence float64) stats.Interval {
 	return stats.BinomialCI(int64(r.LogicalErrors), int64(r.Shots), confidence)
 }
 
-// Run samples the experiment with the bit-parallel batch sampler and
-// decodes each shot with the two-stage exact lookup decoder: stage 1
+// RunContext samples the experiment with the bit-parallel batch sampler
+// and decodes each shot with the two-stage exact lookup decoder: stage 1
 // corrects from the noisy round's syndrome, stage 2 from the verification
 // round's residual syndrome; a shot is a logical error when the combined
-// correction disagrees with the true observable flip. It is RunSharded at
-// one worker, so counts match a parallel run bit for bit.
-func (e *Experiment) Run(shots int, seed int64) Result {
-	return e.RunSharded(shots, seed, 1)
-}
-
-// RunSharded distributes the shot budget across worker goroutines via the mc
-// engine. Workers own their batch samplers; the lookup decoder is immutable
-// after construction and shared read-only. Pooled (shots, errors) are
-// bit-identical for any worker count (<= 0 means runtime.NumCPU()).
-func (e *Experiment) RunSharded(shots int, seed int64, workers int) Result {
-	res, err := e.RunContext(context.Background(), shots, seed, workers)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunContext is RunSharded under a context: cancellation stops dispatching
-// new shards and returns the exact pooled tally of the completed shards
-// alongside a *mc.PartialError. With a checkpoint installed via
-// mc.SetCheckpoint, completed shards persist across interrupts and are not
-// re-executed on resume.
+// correction disagrees with the true observable flip. The shot budget is
+// distributed across worker goroutines via the mc engine. Workers own their
+// batch samplers; the lookup decoder is immutable after construction and
+// shared read-only. Pooled (shots, errors) are bit-identical for any worker
+// count (<= 0 means runtime.NumCPU()).
+//
+// Cancellation stops dispatching new shards and returns the exact pooled
+// tally of the completed shards alongside a *mc.PartialError. Under a
+// checkpoint scope (mc.WithCheckpoint), completed shards persist across
+// interrupts and are not re-executed on resume.
 func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, workers int) (Result, error) {
 	k := e.numChecks
 	cfg := mc.Config{Shots: shots, Seed: seed, Workers: workers}

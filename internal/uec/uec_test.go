@@ -1,12 +1,36 @@
 package uec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"hetarch/internal/qec"
 	"hetarch/internal/stabsim"
 )
+
+// mustRun is RunContext on a background context, failing the test on error.
+func mustRun(tb testing.TB, e interface {
+	RunContext(context.Context, int, int64, int) (Result, error)
+}, shots int, seed int64, workers int) Result {
+	tb.Helper()
+	res, err := e.RunContext(context.Background(), shots, seed, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// mustPseudothreshold is PseudothresholdContext on a background context,
+// failing the test on error.
+func mustPseudothreshold(tb testing.TB, base Params, shots int, seed int64, workers int) (float64, bool) {
+	tb.Helper()
+	pt, ok, err := PseudothresholdContext(context.Background(), base, shots, seed, workers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pt, ok
+}
 
 func codes(t *testing.T) map[string]*qec.Code {
 	t.Helper()
@@ -51,7 +75,7 @@ func TestNoiselessIsPerfect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := e.Run(200, 3)
+		res := mustRun(t, e, 200, 3, 1)
 		if res.LogicalErrors != 0 {
 			t.Errorf("%s: %d errors without noise", name, res.LogicalErrors)
 		}
@@ -87,7 +111,7 @@ func TestStorageLifetimeImprovesHeterogeneous(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run(8000, 7).LogicalErrorRate()
+		return mustRun(t, e, 8000, 7, 1).LogicalErrorRate()
 	}
 	short := run(1)
 	long := run(50)
@@ -113,8 +137,8 @@ func TestNonPlanarCodesFavorHeterogeneous(t *testing.T) {
 			t.Fatal(err)
 		}
 		shots := 6000
-		hetRate := het.Run(shots, 5).LogicalErrorRate()
-		homRate := hom.Run(shots, 5).LogicalErrorRate()
+		hetRate := mustRun(t, het, shots, 5, 1).LogicalErrorRate()
+		homRate := mustRun(t, hom, shots, 5, 1).LogicalErrorRate()
 		if hetRate >= homRate {
 			t.Errorf("%s: het %.4f should beat hom %.4f", name, hetRate, homRate)
 		}
@@ -139,8 +163,8 @@ func TestSurfaceCodeFavorsHomogeneous(t *testing.T) {
 		t.Fatal(err)
 	}
 	shots := 8000
-	hetRate := het.Run(shots, 9).LogicalErrorRate()
-	homRate := hom.Run(shots, 9).LogicalErrorRate()
+	hetRate := mustRun(t, het, shots, 9, 1).LogicalErrorRate()
+	homRate := mustRun(t, hom, shots, 9, 1).LogicalErrorRate()
 	if homRate >= hetRate {
 		t.Errorf("SC3: hom %.4f should beat het %.4f", homRate, hetRate)
 	}
@@ -174,7 +198,7 @@ func TestErrorRateIncreasesWithGateError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run(6000, 13).LogicalErrorRate()
+		return mustRun(t, e, 6000, 13, 1).LogicalErrorRate()
 	}
 	low := run(0.002)
 	high := run(0.05)
@@ -192,7 +216,7 @@ func TestBothBasesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := e.Run(1000, 17)
+		res := mustRun(t, e, 1000, 17, 1)
 		if res.Shots != 1000 {
 			t.Fatal("accounting wrong")
 		}
@@ -208,7 +232,7 @@ func TestPseudothresholdSteane(t *testing.T) {
 		t.Skip("Monte Carlo bisection")
 	}
 	base := DefaultParams(qec.Steane(), 50, true)
-	pt, ok := Pseudothreshold(base, 3000, 21, 0)
+	pt, ok := mustPseudothreshold(t, base, 3000, 21, 0)
 	if !ok {
 		t.Fatal("Steane on the UEC should have a pseudothreshold")
 	}
@@ -223,7 +247,7 @@ func TestPseudothresholdSteane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rate := e.Run(4000, 23).LogicalErrorRate()
+	rate := mustRun(t, e, 4000, 23, 1).LogicalErrorRate()
 	if rate >= pt/3*2 {
 		t.Fatalf("below PT the logical rate (%v) should be comfortably below physical (%v)", rate, pt/3)
 	}
@@ -306,7 +330,7 @@ func TestOptimizedScheduleImprovesLowTsRates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run(12000, 31).LogicalErrorRate()
+		return mustRun(t, e, 12000, 31, 1).LogicalErrorRate()
 	}
 	naive := run(false)
 	opt := run(true)
