@@ -258,7 +258,8 @@ func NewDistillationConfig(tsMillis float64, heterogeneous bool) DistillationCon
 	return distill.DefaultConfig(tsMillis, heterogeneous)
 }
 
-// NewDistillationModule prepares a distillation simulation.
+// NewDistillationModule prepares a distillation simulation. A module
+// simulates one trajectory: call Run once, and build a new module for the next.
 func NewDistillationModule(cfg DistillationConfig) *DistillationModule {
 	return distill.NewModule(cfg)
 }

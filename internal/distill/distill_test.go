@@ -3,6 +3,7 @@ package distill
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -338,5 +339,44 @@ func TestConfigFromCells(t *testing.T) {
 	stats := NewModule(cfg).Run(5000)
 	if stats.Delivered == 0 {
 		t.Fatal("derived configuration should distill successfully")
+	}
+}
+
+// TestModuleRunSteadyAllocs: the event loop allocates nothing per event, so
+// a whole trajectory costs a fixed handful of allocations (the module, its
+// slots and callbacks, and the queue and in-flight FIFO reaching their
+// working size) no matter how long the horizon — four times the horizon
+// means four times the events and not one allocation more.
+func TestModuleRunSteadyAllocs(t *testing.T) {
+	for _, het := range []bool{true, false} {
+		cfg := withConsume(DefaultConfig(12.5, het))
+		cfg.Seed = 11
+		allocs := func(horizon float64) float64 {
+			return testing.AllocsPerRun(5, func() { NewModule(cfg).Run(horizon) })
+		}
+		short, long := allocs(20000), allocs(80000)
+		t.Logf("heterogeneous=%v: %v allocations over 20 ms, %v over 80 ms", het, short, long)
+		if long > short || short > 20 {
+			t.Errorf("heterogeneous=%v: %v allocations over 20 ms, %v over 80 ms; want a constant <= 20",
+				het, short, long)
+		}
+	}
+}
+
+func TestModuleRunTwicePanics(t *testing.T) {
+	for _, trace := range []float64{0, 1} {
+		cfg := DefaultConfig(12.5, true)
+		cfg.TraceInterval = trace
+		m := NewModule(cfg)
+		m.Run(100)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "distill: ") {
+					t.Errorf("trace interval %v: second Run panicked with %q, want a distill: message", trace, msg)
+				}
+			}()
+			m.Run(200)
+		}()
 	}
 }

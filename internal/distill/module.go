@@ -120,20 +120,56 @@ func (s Stats) DeliveredRatePerSecond() float64 {
 type storedPair struct {
 	pair       Pair
 	lastUpdate float64
-	rounds     int // distillation rounds survived
+	rounds     int  // distillation rounds survived
+	used       bool // the slot holds a pair
+}
+
+// round is one distillation round in flight: its predicted output, success
+// probability and depth, resolved when its gate phase ends.
+type round struct {
+	predicted Pair
+	pSucc     float64
+	rounds    int
 }
 
 // Module is the entanglement-distillation module simulator: input memory,
 // one distillation unit (ParCheck cell), output memory, and the greedy
 // scheduler of Section 4.1.
+//
+// The event loop allocates nothing per event: slots hold pairs by value,
+// the event callbacks are bound once in NewModule, and in-flight rounds
+// wait in a FIFO owned by the module.
 type Module struct {
 	cfg Config
 	sim *sched.Sim
 	rng *rand.Rand
 
-	input  []*storedPair // fixed-size slot arrays; nil = free
-	output []*storedPair
+	input  []storedPair // fixed-size slot arrays
+	output []storedPair
 
+	// Per-module constants: the gate phase of a round (until the surviving
+	// pair is back in memory), the full round on the distillation unit, and
+	// the compute-qubit idle channel over the gate phase.
+	gatePhase, opTime float64
+	gateIdle          idleChannel
+
+	// inflight holds the started rounds oldest first. Every round's gate
+	// phase has the same length and sched breaks time ties in scheduling
+	// order, so gate-done events fire in start order and each resolves
+	// the head.
+	inflight []round
+
+	// memIdle memoises the memory idle channel for the last refresh
+	// interval memIdleDt: every input slot is refreshed to the same time
+	// from the same last update, so one event's slots share it.
+	memIdleDt float64
+	memIdle   idleChannel
+
+	// The event callbacks, bound once so scheduling them allocates nothing.
+	onArrival, onGateDone, onRelease, onTrace func()
+
+	horizon        float64 // µs, set by Run
+	ran            bool
 	busyDistillers int
 	stats          Stats
 }
@@ -146,13 +182,26 @@ func NewModule(cfg Config) *Module {
 	if cfg.Distillers < 1 {
 		cfg.Distillers = 1
 	}
-	return &Module{
+	m := &Module{
 		cfg:    cfg,
 		sim:    &sched.Sim{},
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		input:  make([]*storedPair, cfg.InputSlots),
-		output: make([]*storedPair, cfg.OutputSlots),
+		input:  make([]storedPair, cfg.InputSlots),
+		output: make([]storedPair, cfg.OutputSlots),
+		// The round pipelines: the surviving pair is back in memory once
+		// the SWAPs and gates are done (gate phase); the distillation
+		// unit's readout ancilla stays busy for the full round — two
+		// loads, local rotations, bilateral CNOT, readout.
+		gatePhase: 2*cfg.SwapTime + cfg.OneQTime + cfg.GateTime +
+			float64(cfg.RoutingSwaps)*3*cfg.GateTime,
+		opTime: 2*cfg.SwapTime + cfg.OneQTime + cfg.GateTime + cfg.ReadoutTime,
 	}
+	m.gateIdle = newIdleChannel(m.gatePhase, cfg.TcMicros, cfg.TcMicros)
+	m.onArrival = m.arrive
+	m.onGateDone = m.gateDone
+	m.onRelease = m.release
+	m.onTrace = m.traceTick
+	return m
 }
 
 // memoryLifetime returns the (T1, T2) of a memory slot under the
@@ -172,58 +221,61 @@ func (m *Module) refresh(sp *storedPair) {
 	if dt <= 0 {
 		return
 	}
-	t1, t2 := m.memoryLifetime()
-	sp.pair = sp.pair.Decohere(dt, t1, t2, t1, t2)
+	if dt != m.memIdleDt {
+		t1, t2 := m.memoryLifetime()
+		m.memIdleDt, m.memIdle = dt, newIdleChannel(dt, t1, t2)
+	}
+	sp.pair = m.memIdle.bothSides(sp.pair)
 	sp.lastUpdate = now
 }
 
-// distillOpTime is the duration of one DEJMPS round on the ParCheck cell:
-// two loads, local rotations, bilateral CNOT, readout.
-func (m *Module) distillOpTime() float64 {
-	return 2*m.cfg.SwapTime + m.cfg.OneQTime + m.cfg.GateTime + m.cfg.ReadoutTime
-}
-
 // Run simulates the module for the given horizon (µs) and returns the
-// accumulated statistics.
+// accumulated statistics. A Module simulates one trajectory: Run may be
+// called once, and a second call panics.
 func (m *Module) Run(horizonMicros float64) Stats {
+	if m.ran {
+		panic("distill: Module.Run called twice; build a new Module with NewModule for each trajectory")
+	}
+	m.ran = true
+	m.horizon = horizonMicros
 	m.stats = Stats{HorizonMicros: horizonMicros}
-	m.scheduleArrival(horizonMicros)
+	m.scheduleArrival()
 	if m.cfg.TraceInterval > 0 {
-		m.scheduleTrace(horizonMicros)
+		m.sim.At(0, m.onTrace)
 	}
 	m.sim.RunUntil(horizonMicros)
 	return m.stats
 }
 
-func (m *Module) scheduleArrival(horizon float64) {
+func (m *Module) scheduleArrival() {
 	// Exponential inter-arrival with mean 1/rate. Rates are kHz = events
 	// per millisecond; convert to events per µs.
 	ratePerMicro := m.cfg.GenRateKHz / 1000.0
 	dt := m.rng.ExpFloat64() / ratePerMicro
 	t := m.sim.Now() + dt
-	if t > horizon {
+	if t > m.horizon {
 		return
 	}
-	m.sim.At(t, func() {
-		m.stats.Generated++
-		m.acceptPair(NewWernerPair(1 - m.cfg.RawInfidelity))
-		m.schedule()
-		m.scheduleArrival(horizon)
-	})
+	m.sim.At(t, m.onArrival)
 }
 
-func (m *Module) scheduleTrace(horizon float64) {
-	var tick func()
-	tick = func() {
-		m.stats.Trace = append(m.stats.Trace, TracePoint{
-			Time:           m.sim.Now(),
-			BestInfidelity: m.BestOutputInfidelity(),
-		})
-		if m.sim.Now()+m.cfg.TraceInterval <= horizon {
-			m.sim.After(m.cfg.TraceInterval, tick)
-		}
+// arrive handles one EP from the source.
+func (m *Module) arrive() {
+	m.stats.Generated++
+	m.acceptPair(NewWernerPair(1 - m.cfg.RawInfidelity))
+	m.schedule()
+	m.scheduleArrival()
+}
+
+// traceTick records one Fig. 3 sample and schedules the next.
+func (m *Module) traceTick() {
+	m.stats.Trace = append(m.stats.Trace, TracePoint{
+		Time:           m.sim.Now(),
+		BestInfidelity: m.BestOutputInfidelity(),
+	})
+	if m.sim.Now()+m.cfg.TraceInterval <= m.horizon {
+		m.sim.After(m.cfg.TraceInterval, m.onTrace)
 	}
-	m.sim.At(0, tick)
 }
 
 // acceptPair stores an incoming EP in input memory (priority 4). When the
@@ -232,9 +284,10 @@ func (m *Module) scheduleTrace(horizon float64) {
 // otherwise the incoming pair is dropped.
 func (m *Module) acceptPair(p Pair) {
 	worst, worstF := -1, 2.0
-	for i, s := range m.input {
-		if s == nil {
-			m.input[i] = &storedPair{pair: p, lastUpdate: m.sim.Now()}
+	for i := range m.input {
+		s := &m.input[i]
+		if !s.used {
+			*s = storedPair{pair: p, lastUpdate: m.sim.Now(), used: true}
 			m.stats.Stored++
 			return
 		}
@@ -245,7 +298,7 @@ func (m *Module) acceptPair(p Pair) {
 		}
 	}
 	if worst >= 0 && p.Fidelity() > worstF {
-		m.input[worst] = &storedPair{pair: p, lastUpdate: m.sim.Now()}
+		m.input[worst] = storedPair{pair: p, lastUpdate: m.sim.Now(), used: true}
 		m.stats.Stored++
 		m.stats.DroppedFull++ // the evicted pair counts as a loss
 		return
@@ -257,8 +310,9 @@ func (m *Module) acceptPair(p Pair) {
 // after refreshing them to the current time (1 when the register is empty).
 func (m *Module) BestOutputInfidelity() float64 {
 	best := 1.0
-	for _, s := range m.output {
-		if s == nil {
+	for i := range m.output {
+		s := &m.output[i]
+		if !s.used {
 			continue
 		}
 		m.refresh(s)
@@ -276,19 +330,20 @@ func (m *Module) BestOutputInfidelity() float64 {
 // best available pairs and require predicted improvement.
 func (m *Module) schedule() {
 	// Refresh all stored pairs to now.
-	for _, s := range m.input {
-		if s != nil {
-			m.refresh(s)
+	for i := range m.input {
+		if m.input[i].used {
+			m.refresh(&m.input[i])
 		}
 	}
 
 	// Priority 2: move pairs at/above target into output memory.
-	for i, s := range m.input {
-		if s == nil || s.pair.Fidelity() < m.cfg.TargetFidelity {
+	for i := range m.input {
+		s := &m.input[i]
+		if !s.used || s.pair.Fidelity() < m.cfg.TargetFidelity {
 			continue
 		}
-		if m.deliver(s) {
-			m.input[i] = nil
+		if m.deliver(*s) {
+			s.used = false
 		}
 	}
 
@@ -297,6 +352,21 @@ func (m *Module) schedule() {
 			return
 		}
 	}
+}
+
+// predictFidelity returns the output fidelity and success probability
+// DEJMPS(a, b, GateError) would report. With a noiseless gate it computes
+// only the fidelity term, to the same bits.
+func (m *Module) predictFidelity(a, b Pair) (fidelity, pSucc float64) {
+	if m.cfg.GateError > 0 {
+		out, ps := DEJMPS(a, b, m.cfg.GateError)
+		return out.Fidelity(), ps
+	}
+	n := (a.P[0]+a.P[3])*(b.P[0]+b.P[3]) + (a.P[1]+a.P[2])*(b.P[1]+b.P[2])
+	if n <= 0 {
+		return 0, 0
+	}
+	return (a.P[0]*b.P[0] + a.P[3]*b.P[3]) / n, n
 }
 
 // startBestDistillation picks and launches the best available distillation
@@ -313,25 +383,25 @@ func (m *Module) startBestDistillation() bool {
 	a, b := -1, -1
 	bestRounds, bestPred := -1, -1.0
 	for i := range m.input {
-		if m.input[i] == nil {
-			continue
+		si := &m.input[i]
+		if !si.used || si.rounds < bestRounds {
+			continue // a shallower pair cannot win
 		}
 		for j := i + 1; j < len(m.input); j++ {
-			if m.input[j] == nil || m.input[j].rounds != m.input[i].rounds {
+			sj := &m.input[j]
+			if !sj.used || sj.rounds != si.rounds {
 				continue
 			}
-			pi, pj := m.input[i].pair, m.input[j].pair
-			pred, ps := DEJMPS(pi, pj, m.cfg.GateError)
+			pred, ps := m.predictFidelity(si.pair, sj.pair)
 			if ps <= 0 {
 				continue
 			}
-			if pred.Fidelity() <= math.Max(pi.Fidelity(), pj.Fidelity()) {
+			if pred <= math.Max(si.pair.Fidelity(), sj.pair.Fidelity()) {
 				continue // no improvement (priority-1 guard)
 			}
-			r := m.input[i].rounds
-			if r > bestRounds || (r == bestRounds && pred.Fidelity() > bestPred) {
+			if r := si.rounds; r > bestRounds || (r == bestRounds && pred > bestPred) {
 				bestRounds = r
-				bestPred = pred.Fidelity()
+				bestPred = pred
 				a, b = i, j
 			}
 		}
@@ -339,43 +409,44 @@ func (m *Module) startBestDistillation() bool {
 	if a < 0 {
 		return false
 	}
-	pa, pb := m.input[a].pair, m.input[b].pair
-	predicted, pSucc := DEJMPS(pa, pb, m.cfg.GateError)
+	predicted, pSucc := DEJMPS(m.input[a].pair, m.input[b].pair, m.cfg.GateError)
 	rounds := m.input[a].rounds + 1 // both inputs are at the same depth
-	m.input[a], m.input[b] = nil, nil
+	m.input[a].used, m.input[b].used = false, false
 	m.busyDistillers++
 	m.stats.Attempts++
-	// The round pipelines: the surviving pair is back in memory once the
-	// SWAPs and gates are done (gate phase); the distillation unit's
-	// readout ancilla stays busy for the full round. Classical
-	// communication is neglected (as in the paper), so the success of the
-	// round is resolved when the pair is released — retroactive discard
-	// under pipelining is statistically identical.
-	gatePhase := 2*m.cfg.SwapTime + m.cfg.OneQTime + m.cfg.GateTime +
-		float64(m.cfg.RoutingSwaps)*3*m.cfg.GateTime
-	m.sim.After(gatePhase, func() {
-		if m.rng.Float64() < pSucc {
-			m.stats.Successes++
-			// The surviving pair idles on compute devices while the gates
-			// run; afterwards it rests in memory (storage for the
-			// heterogeneous design, a compute qubit for the homogeneous
-			// baseline — exactly where the heterogeneous design wins).
-			out := predicted.Decohere(gatePhase,
-				m.cfg.TcMicros, m.cfg.TcMicros, m.cfg.TcMicros, m.cfg.TcMicros)
-			sp := &storedPair{pair: out, lastUpdate: m.sim.Now(), rounds: rounds}
-			if out.Fidelity() >= m.cfg.TargetFidelity && m.deliver(sp) {
-				// delivered directly
-			} else {
-				m.storeBack(sp)
-			}
-		}
-		m.schedule()
-	})
-	m.sim.After(m.distillOpTime(), func() {
-		m.busyDistillers--
-		m.schedule()
-	})
+	// Classical communication is neglected (as in the paper), so the
+	// success of the round is resolved when the pair is released —
+	// retroactive discard under pipelining is statistically identical.
+	m.inflight = append(m.inflight, round{predicted: predicted, pSucc: pSucc, rounds: rounds})
+	m.sim.After(m.gatePhase, m.onGateDone)
+	m.sim.After(m.opTime, m.onRelease)
 	return true
+}
+
+// gateDone resolves the oldest round in flight once its gate phase ends.
+func (m *Module) gateDone() {
+	r := m.inflight[0]
+	n := copy(m.inflight, m.inflight[1:])
+	m.inflight = m.inflight[:n]
+	if m.rng.Float64() < r.pSucc {
+		m.stats.Successes++
+		// The surviving pair idles on compute devices while the gates
+		// run; afterwards it rests in memory (storage for the
+		// heterogeneous design, a compute qubit for the homogeneous
+		// baseline — exactly where the heterogeneous design wins).
+		out := m.gateIdle.bothSides(r.predicted)
+		sp := storedPair{pair: out, lastUpdate: m.sim.Now(), rounds: r.rounds, used: true}
+		if !(out.Fidelity() >= m.cfg.TargetFidelity && m.deliver(sp)) {
+			m.storeBack(sp)
+		}
+	}
+	m.schedule()
+}
+
+// release frees the distillation unit at the end of a round.
+func (m *Module) release() {
+	m.busyDistillers--
+	m.schedule()
 }
 
 // deliver places a threshold-quality pair into the output register. When
@@ -383,15 +454,16 @@ func (m *Module) startBestDistillation() bool {
 // stored output pair if it is better (the output register always offers the
 // best pairs produced so far); it returns false only when the pair is worse
 // than everything already stored.
-func (m *Module) deliver(sp *storedPair) bool {
+func (m *Module) deliver(sp storedPair) bool {
 	worst, worstF := -1, 2.0
-	for i, s := range m.output {
-		if s == nil {
+	for i := range m.output {
+		s := &m.output[i]
+		if !s.used {
 			m.stats.Delivered++
 			if m.cfg.ConsumeAtThreshold {
 				return true // consumed immediately; slot stays free
 			}
-			m.output[i] = sp
+			*s = sp
 			return true
 		}
 		m.refresh(s)
@@ -412,11 +484,12 @@ func (m *Module) deliver(sp *storedPair) bool {
 // further rounds. When the memory has meanwhile filled with fresh arrivals,
 // the worst stored pair is evicted — a distilled pair embodies several raw
 // pairs of work and must not be displaced by raw inflow.
-func (m *Module) storeBack(sp *storedPair) {
+func (m *Module) storeBack(sp storedPair) {
 	worst, worstF := -1, 2.0
-	for i, s := range m.input {
-		if s == nil {
-			m.input[i] = sp
+	for i := range m.input {
+		s := &m.input[i]
+		if !s.used {
+			*s = sp
 			return
 		}
 		m.refresh(s)
@@ -437,7 +510,7 @@ func (m *Module) storeBack(sp *storedPair) {
 func (m *Module) InputOccupancy() int {
 	n := 0
 	for _, s := range m.input {
-		if s != nil {
+		if s.used {
 			n++
 		}
 	}

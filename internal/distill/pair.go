@@ -52,21 +52,18 @@ func (p Pair) Validate() error {
 
 // applyPauliOneSide mixes the coefficients under a Pauli channel
 // (px, py, pz) acting on ONE qubit of the pair. Pauli action permutes Bell
-// states: X swaps Φ±↔Ψ±, Z swaps +↔−, Y does both.
+// states: X swaps Φ±↔Ψ±, Z swaps +↔−, Y does both. Each output sums its
+// four contributions in source order p0, p1, p2, p3.
 func applyPauliOneSide(p [4]float64, px, py, pz float64) [4]float64 {
 	pi := 1 - px - py - pz
-	var out [4]float64
 	// index: 0 Φ+, 1 Φ−, 2 Ψ+, 3 Ψ−
-	permX := [4]int{2, 3, 0, 1}
-	permZ := [4]int{1, 0, 3, 2}
-	permY := [4]int{3, 2, 1, 0}
-	for i := 0; i < 4; i++ {
-		out[i] += pi * p[i]
-		out[permX[i]] += px * p[i]
-		out[permY[i]] += py * p[i]
-		out[permZ[i]] += pz * p[i]
+	p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+	return [4]float64{
+		((pi*p0 + pz*p1) + px*p2) + py*p3,
+		((pz*p0 + pi*p1) + py*p2) + px*p3,
+		((px*p0 + py*p1) + pi*p2) + pz*p3,
+		((py*p0 + px*p1) + pz*p2) + pi*p3,
 	}
-	return out
 }
 
 // Decohere evolves the pair for duration dt (µs) with each listed side
@@ -75,17 +72,36 @@ func applyPauliOneSide(p [4]float64, px, py, pz float64) [4]float64 {
 // Bell-diagonal. sideT1/sideT2 give per-side coherence times; a side with
 // T1 ≤ 0 is treated as noiseless.
 func (p Pair) Decohere(dt float64, t1A, t2A, t1B, t2B float64) Pair {
-	out := p.P
-	if t1A > 0 {
-		px, py, pz := stabsim.IdlePauliChannel(dt, t1A, t2A)
-		out = applyPauliOneSide(out, px, py, pz)
-	}
-	if t1B > 0 {
-		px, py, pz := stabsim.IdlePauliChannel(dt, t1B, t2B)
-		out = applyPauliOneSide(out, px, py, pz)
-	}
-	return Pair{P: out}
+	return newIdleChannel(dt, t1B, t2B).apply(newIdleChannel(dt, t1A, t2A).apply(p))
 }
+
+// idleChannel is the one-sided Pauli channel of one idle period; noisy is
+// false for a noiseless side (T1 ≤ 0).
+type idleChannel struct {
+	px, py, pz float64
+	noisy      bool
+}
+
+// newIdleChannel returns the channel of a side idling for dt under (t1, t2).
+func newIdleChannel(dt, t1, t2 float64) idleChannel {
+	if t1 <= 0 {
+		return idleChannel{}
+	}
+	px, py, pz := stabsim.IdlePauliChannel(dt, t1, t2)
+	return idleChannel{px: px, py: py, pz: pz, noisy: true}
+}
+
+// apply applies the channel to one half of the pair.
+func (c idleChannel) apply(p Pair) Pair {
+	if !c.noisy {
+		return p
+	}
+	return Pair{P: applyPauliOneSide(p.P, c.px, c.py, c.pz)}
+}
+
+// bothSides applies the channel to each half of the pair in turn:
+// p.Decohere(dt, t1, t2, t1, t2) with the channel computed once.
+func (c idleChannel) bothSides(p Pair) Pair { return c.apply(c.apply(p)) }
 
 // DEJMPS consumes two pairs and returns the distilled output pair, the
 // success probability of the protocol round, and the deterministic gate

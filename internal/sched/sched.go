@@ -5,7 +5,6 @@
 package sched
 
 import (
-	"container/heap"
 	"time"
 
 	"hetarch/internal/obs"
@@ -29,43 +28,36 @@ type event struct {
 	fn   func()
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+// before orders events by time, then by scheduling order. seq is unique,
+// so this is a total order and the dispatch sequence does not depend on
+// how the heap arranges equal-time events.
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Sim is a discrete-event simulation clock. The zero value is ready to use.
+// The queue is a binary min-heap of event values, so scheduling and
+// dispatching allocate nothing once the queue has reached its working depth.
 type Sim struct {
 	now   float64
 	seq   int64
-	queue eventQueue
+	queue []event
 }
 
 // Now returns the current simulation time.
 func (s *Sim) Now() float64 { return s.now }
 
-// At schedules fn at absolute time t (t must not be in the past).
+// At schedules fn at absolute time t (t must not be in the past, nor NaN).
 func (s *Sim) At(t float64, fn func()) {
-	if t < s.now {
+	if !(t >= s.now) { // false for NaN too, which would corrupt the order
 		panic("sched: scheduling into the past")
 	}
 	s.seq++
-	heap.Push(&s.queue, &event{time: t, seq: s.seq, fn: fn})
+	s.queue = append(s.queue, event{time: t, seq: s.seq, fn: fn})
+	s.siftUp(len(s.queue) - 1)
 	schedMaxDepth.SetMax(float64(len(s.queue)))
 }
 
@@ -79,14 +71,60 @@ func (s *Sim) After(d float64, fn func()) {
 
 // Step executes the next event; it reports false when the queue is empty.
 func (s *Sim) Step() bool {
-	if len(s.queue) == 0 {
+	n := len(s.queue)
+	if n == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*event)
+	e := s.queue[0]
+	last := s.queue[n-1]
+	s.queue[n-1] = event{} // drop the closure reference
+	s.queue = s.queue[:n-1]
+	if n > 1 {
+		s.siftDown(last)
+	}
 	s.now = e.time
 	schedEvents.Inc()
 	e.fn()
 	return true
+}
+
+// siftUp moves the event at index j towards the root until its parent
+// comes before it.
+func (s *Sim) siftUp(j int) {
+	q := s.queue
+	e := q[j]
+	for j > 0 {
+		p := (j - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[j] = q[p]
+		j = p
+	}
+	q[j] = e
+}
+
+// siftDown places e, which replaces the root, where both its children come
+// after it.
+func (s *Sim) siftDown(e event) {
+	q := s.queue
+	n := len(q)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&e) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = e
 }
 
 // RunUntil executes events in order until the clock would pass t or the

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"hetarch/internal/obs"
@@ -86,6 +89,80 @@ func TestPastSchedulingPanics(t *testing.T) {
 		}
 	}()
 	s.At(1, func() {})
+}
+
+func TestNaNTimePanics(t *testing.T) {
+	for _, schedule := range []func(*Sim){
+		func(s *Sim) { s.At(math.NaN(), func() {}) },
+		func(s *Sim) { s.After(math.NaN(), func() {}) },
+	} {
+		var s Sim
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic on a NaN time")
+				}
+			}()
+			schedule(&s)
+		}()
+		if s.Pending() != 0 {
+			t.Fatal("a NaN event reached the queue")
+		}
+	}
+}
+
+// TestRandomizedOrderMatchesStableSort: many events on a coarse time grid
+// (so most share their time with others), scheduled in bursts between
+// single Steps, dispatch in the order of a stable sort by time of
+// everything scheduled — FIFO among ties, whatever the heap's shape.
+func TestRandomizedOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		var s Sim
+		type item struct {
+			time float64
+			id   int
+		}
+		var scheduled []item
+		var fired []int
+		next := 0
+		for round := 0; round < 200; round++ {
+			for k := rng.Intn(6); k > 0; k-- {
+				it := item{time: s.Now() + float64(rng.Intn(4)), id: next}
+				next++
+				scheduled = append(scheduled, it)
+				s.At(it.time, func() { fired = append(fired, it.id) })
+			}
+			s.Step()
+		}
+		for s.Step() {
+		}
+		sort.SliceStable(scheduled, func(i, j int) bool { return scheduled[i].time < scheduled[j].time })
+		if len(fired) != len(scheduled) {
+			t.Fatalf("trial %d: %d events fired, %d scheduled", trial, len(fired), len(scheduled))
+		}
+		for i := range fired {
+			if fired[i] != scheduled[i].id {
+				t.Fatalf("trial %d: dispatch %d was event %d, stable sort says %d", trial, i, fired[i], scheduled[i].id)
+			}
+		}
+	}
+}
+
+// TestSteadyStateAllocatesNothing: once the queue has grown to its working
+// depth, scheduling and dispatching an event allocates nothing.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	var s Sim
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		s.After(float64(i%7), fn)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		s.After(3, fn)
+		s.Step()
+	}); a != 0 {
+		t.Fatalf("At+Step allocates %v per event, want 0", a)
+	}
 }
 
 func TestNegativeDelayPanics(t *testing.T) {

@@ -29,6 +29,8 @@ func IdlePauliChannel(duration, t1, t2 float64) (px, py, pz float64) {
 	var pT2 float64 // 1 − e^{−t/T2}
 	if t2 <= 0 {
 		pT2 = 1
+	} else if t2 == t1 { // same exponent: skip the second math.Exp
+		pT2 = pT1
 	} else {
 		pT2 = 1 - math.Exp(-duration/t2)
 	}
