@@ -300,17 +300,21 @@ func BenchmarkSurfaceSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkSurfaceCodeShot measures one full d=13 sample-and-decode cycle,
-// the unit of work behind Fig. 6.
+// BenchmarkSurfaceCodeShot measures the d=13 sample-and-decode cost per
+// shot, the unit of work behind Fig. 6: one 64-shot SampleBatch plus one
+// DecodeBatch per 64 shots, the loop Experiment.RunContext runs.
 func BenchmarkSurfaceCodeShot(b *testing.B) {
 	e, err := surface.New(surface.DefaultParams(13))
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := surface.NewSampler(e, rand.New(rand.NewSource(2)))
+	bs := stabsim.NewBatchFrameSampler(e.Circuit, splitmix.New(2))
+	uf := decoder.NewUnionFind(e.Graph)
+	var preds [64]uint64
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SampleAndDecode()
+	for done := 0; done < b.N; done += 64 {
+		batch := bs.SampleBatch()
+		uf.DecodeBatch(batch.Detectors, min(64, b.N-done), preds[:])
 	}
 }
 

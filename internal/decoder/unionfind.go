@@ -77,9 +77,12 @@ func (g *Graph) Validate() error {
 // use; mc workers each hold a Clone.
 type UnionFind struct {
 	g *Graph
-	// adjacency: per node, incident edge indices (boundary edges included on
-	// their real endpoint)
-	adj [][]int
+	// Adjacency in compressed sparse row form: node i's incident edge
+	// indices, ascending, are adjEdges[adjStart[i]:adjStart[i+1]] (boundary
+	// edges listed on their real endpoint). Read-only after construction and
+	// shared by every Clone.
+	adjStart []int
+	adjEdges []int
 
 	// epoch is the decode generation. A node whose stamp differs from it is
 	// in its pristine start-of-decode state; touchNode initializes lazily
@@ -136,14 +139,37 @@ func NewUnionFind(g *Graph) *UnionFind {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	u := &UnionFind{g: g}
-	u.adj = make([][]int, g.NumNodes)
-	for i, e := range g.Edges {
-		u.adj[e.U] = append(u.adj[e.U], i)
+	// Counting pass, prefix sum, then a fill pass in edge order: each
+	// node's slice comes out ascending, the order an append-built list has.
+	adjStart := make([]int, g.NumNodes+1)
+	for _, e := range g.Edges {
+		adjStart[e.U+1]++
 		if e.V != Boundary {
-			u.adj[e.V] = append(u.adj[e.V], i)
+			adjStart[e.V+1]++
 		}
 	}
+	for i := 0; i < g.NumNodes; i++ {
+		adjStart[i+1] += adjStart[i]
+	}
+	adjEdges := make([]int, adjStart[g.NumNodes])
+	next := make([]int, g.NumNodes)
+	copy(next, adjStart)
+	for i, e := range g.Edges {
+		adjEdges[next[e.U]] = i
+		next[e.U]++
+		if e.V != Boundary {
+			adjEdges[next[e.V]] = i
+			next[e.V]++
+		}
+	}
+	return newUnionFind(g, adjStart, adjEdges)
+}
+
+// newUnionFind allocates a decoder's per-decode scratch around a built,
+// shared adjacency: O(NumNodes + Edges) words in a fixed number of
+// allocations, independent of graph size.
+func newUnionFind(g *Graph, adjStart, adjEdges []int) *UnionFind {
+	u := &UnionFind{g: g, adjStart: adjStart, adjEdges: adjEdges}
 	u.nodeEpoch = make([]uint64, g.NumNodes)
 	u.parent = make([]int, g.NumNodes)
 	u.size = make([]int, g.NumNodes)
@@ -162,13 +188,19 @@ func NewUnionFind(g *Graph) *UnionFind {
 	return u
 }
 
-// Clone returns an independent decoder over the same (shared, read-only)
-// graph. Decode mutates per-call scratch (cluster forest, growth fronts,
-// arenas), so each mc worker needs its own instance; a fresh build is
-// equivalent to a deep copy because all scratch is epoch-invalidated or
-// cleared at the end of each decode.
+// Clone returns an independent decoder over the same graph. The graph and
+// the CSR adjacency are read-only and shared; only the per-decode scratch
+// (cluster forest, growth and peel state, arenas) is allocated afresh, in
+// a fixed number of allocations. Fresh scratch is equivalent to a deep copy
+// because all of it is epoch-invalidated or cleared at the end of each
+// decode, so a clone decodes bit-identically to NewUnionFind.
 func (u *UnionFind) Clone() *UnionFind {
-	return NewUnionFind(u.g)
+	return newUnionFind(u.g, u.adjStart, u.adjEdges)
+}
+
+// incident returns node i's incident edge indices in ascending order.
+func (u *UnionFind) incident(i int) []int {
+	return u.adjEdges[u.adjStart[i]:u.adjStart[i+1]]
 }
 
 // touchNode lazily initializes node i's cluster state for the current
@@ -183,7 +215,7 @@ func (u *UnionFind) touchNode(i int) {
 	u.size[i] = 1
 	u.parity[i] = 0
 	u.boundary[i] = false
-	u.edgeList[i] = append(u.edgeList[i][:0], u.adj[i]...)
+	u.edgeList[i] = append(u.edgeList[i][:0], u.incident(i)...)
 }
 
 // touchPeel lazily initializes node i's peel-phase state.
@@ -501,7 +533,7 @@ func (u *UnionFind) bfs() {
 		v := u.queue[u.qHead]
 		u.qHead++
 		u.order = append(u.order, v)
-		for _, ei := range u.adj[v] {
+		for _, ei := range u.incident(v) {
 			if u.growth[ei] < 2 {
 				continue
 			}

@@ -188,6 +188,20 @@ func NewCircuit(n int) *Circuit {
 	return &Circuit{N: n}
 }
 
+// Grow increases the capacity of the op list, if necessary, to guarantee
+// room for another n ops, like slices.Grow: a builder that knows its op
+// count calls it once before the first op, so appending never reallocates.
+// Unlike slices.Grow the new capacity is exactly len(Ops)+n, not rounded
+// up to an allocator size class. Existing ops are kept; n <= 0 is a no-op.
+func (c *Circuit) Grow(n int) *Circuit {
+	if n > cap(c.Ops)-len(c.Ops) {
+		ops := make([]Op, len(c.Ops), len(c.Ops)+n)
+		copy(ops, c.Ops)
+		c.Ops = ops
+	}
+	return c
+}
+
 // NumMeasurements returns the total number of measurement records produced.
 func (c *Circuit) NumMeasurements() int { return c.numMeasurements }
 

@@ -3,7 +3,6 @@ package surface
 import (
 	"context"
 	"math"
-	"math/rand"
 
 	"hetarch/internal/decoder"
 	"hetarch/internal/mc"
@@ -37,9 +36,30 @@ func (e *Experiment) buildGraph() {
 	}
 	numBasis := len(basisPlaq)
 	layers := p.Rounds + 1 // per-round detectors plus the closing layer
+	node := func(stab, layer int) int { return layer*numBasis + stab }
+
+	// Map each data qubit to the (at most two) basis plaquettes containing
+	// it; a qubit with one owner gets boundary edges, with two interior
+	// edges, so every owned qubit contributes one space edge per layer.
+	owners := make([][2]int, e.code.N)
+	numOwners := make([]uint8, e.code.N)
+	owned := 0
+	for si, plq := range basisPlaq {
+		for _, q := range plq {
+			if numOwners[q] < 2 {
+				owners[q][numOwners[q]] = si
+			}
+			numOwners[q]++
+		}
+	}
+	for _, k := range numOwners {
+		if k == 1 || k == 2 {
+			owned++
+		}
+	}
 
 	g := &decoder.Graph{NumNodes: numBasis * layers}
-	node := func(stab, layer int) int { return layer*numBasis + stab }
+	g.Edges = make([]decoder.Edge, 0, numBasis*(layers-1)+owned*layers)
 
 	// Time-like edges (measurement errors).
 	for s := 0; s < numBasis; s++ {
@@ -48,31 +68,19 @@ func (e *Experiment) buildGraph() {
 		}
 	}
 
-	// Space-like edges (data errors). Map each data qubit to the basis
-	// plaquettes containing it.
+	// Space-like edges (data errors). Edges of qubits on the logical
+	// operator's support carry the observable mask.
 	logical := e.code.LogicalZ
 	if p.Basis == 'X' {
 		logical = e.code.LogicalX
 	}
-	inLogical := make([]bool, e.code.N)
-	for q := 0; q < e.code.N; q++ {
-		if logical.LetterAt(q) != 'I' {
-			inLogical[q] = true
-		}
-	}
-	owners := make([][]int, e.code.N)
-	for si, plq := range basisPlaq {
-		for _, q := range plq {
-			owners[q] = append(owners[q], si)
-		}
-	}
 	for q := 0; q < e.code.N; q++ {
 		var obs uint64
-		if inLogical[q] {
+		if logical.LetterAt(q) != 'I' {
 			obs = 1
 		}
 		for r := 0; r < layers; r++ {
-			switch len(owners[q]) {
+			switch numOwners[q] {
 			case 1:
 				g.Edges = append(g.Edges, decoder.Edge{U: node(owners[q][0], r), V: decoder.Boundary, ObsMask: obs})
 			case 2:
@@ -206,24 +214,4 @@ func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, work
 		}
 	})
 	return Result{Shots: int(tally.Shots), LogicalErrors: int(tally.Errors), Rounds: e.Params.Rounds}, err
-}
-
-// Sampler pairs a frame sampler with the experiment's decoder so shots can
-// be drawn incrementally (used by benchmarks).
-type Sampler struct {
-	e  *Experiment
-	fs *stabsim.FrameSampler
-}
-
-// NewSampler builds a sampler bound to the experiment and RNG.
-func NewSampler(e *Experiment, rng *rand.Rand) *Sampler {
-	return &Sampler{e: e, fs: stabsim.NewFrameSampler(e.Circuit, rng)}
-}
-
-// SampleAndDecode draws one shot and reports whether the decoder failed.
-func (s *Sampler) SampleAndDecode() bool {
-	shot := s.fs.Sample()
-	pred := s.e.uf.Decode(shot.Detectors)
-	actual := shot.Observables[0]
-	return (pred&1 == 1) != actual
 }

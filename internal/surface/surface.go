@@ -135,27 +135,35 @@ func (e *Experiment) totalQubits() int {
 // Detectors compare consecutive outcomes of the basis-type stabilizers; the
 // final transversal data measurement closes the detector chains and defines
 // the logical observable.
+//
+// Every single-qubit layer (ancilla idle, the two X-ancilla H layers, data
+// idle, ancilla measure-and-reset) is one multi-target op, as in Stim. The
+// samplers draw per target in target order inside such an op, so the
+// sampled bits equal those of one op per qubit in the same order. The op
+// list is sized once from opCount.
 func (e *Experiment) buildCircuit() {
 	p := e.Params
+	n, nx := e.code.N, len(e.layout.XPlaquettes)
 	c := stabsim.NewCircuit(e.totalQubits())
 
 	isZ := p.Basis == 'Z'
-	var basisPlaq [][]int
-	var basisAncilla func(int) int
+	basisPlaq := e.layout.XPlaquettes
 	if isZ {
 		basisPlaq = e.layout.ZPlaquettes
-		basisAncilla = e.zAncilla
-	} else {
-		basisPlaq = e.layout.XPlaquettes
-		basisAncilla = e.xAncilla
 	}
 
-	dataAll := make([]int, e.code.N)
-	for i := range dataAll {
-		dataAll[i] = i
+	// qubits[i] = i: the data, X-ancilla and all-ancilla layers are
+	// contiguous index ranges of it. The measure-and-reset layer lists the
+	// basis-type ancillas first so relative record offsets are uniform; in
+	// the X basis that is the ancilla range itself.
+	qubits := make([]int, e.totalQubits())
+	for i := range qubits {
+		qubits[i] = i
 	}
-	if !isZ {
-		c.H(dataAll...) // |+…+⟩ initialization
+	dataAll, ancillas, xAncillas := qubits[:n], qubits[n:], qubits[n:n+nx]
+	measured := ancillas
+	if isZ {
+		measured = append(append(make([]int, 0, len(ancillas)), qubits[n+nx:]...), xAncillas...)
 	}
 
 	mFlip := p.measFlipProbability()
@@ -164,27 +172,24 @@ func (e *Experiment) buildCircuit() {
 	idleAncX, idleAncY, idleAncZ := stabsim.IdlePauliChannel(gateWindow, p.TcaMicros, p.ancillaT2())
 
 	numBasis := len(basisPlaq)
+	total := len(measured)
+	c.Grow(e.opCount(numBasis, nonzero(idleAncX, idleAncY, idleAncZ), nonzero(idleDataX, idleDataY, idleDataZ)))
+	if !isZ {
+		c.H(dataAll...) // |+…+⟩ initialization
+	}
+
 	for r := 0; r < p.Rounds; r++ {
 		// Ancilla idle noise over the gate window.
-		for i := range e.layout.XPlaquettes {
-			c.PauliChannel1(idleAncX, idleAncY, idleAncZ, e.xAncilla(i))
-		}
-		for i := range e.layout.ZPlaquettes {
-			c.PauliChannel1(idleAncX, idleAncY, idleAncZ, e.zAncilla(i))
-		}
+		c.PauliChannel1(idleAncX, idleAncY, idleAncZ, ancillas...)
 		// X stabilizers: H, CXs ancilla→data, H.
-		for i := range e.layout.XPlaquettes {
-			c.H(e.xAncilla(i))
-		}
+		c.H(xAncillas...)
 		for i, plq := range e.layout.XPlaquettes {
 			for _, q := range plq {
 				c.CX(e.xAncilla(i), q)
 				c.Depolarize2(p.P2, e.xAncilla(i), q)
 			}
 		}
-		for i := range e.layout.XPlaquettes {
-			c.H(e.xAncilla(i))
-		}
+		c.H(xAncillas...)
 		// Z stabilizers: CXs data→ancilla.
 		for i, plq := range e.layout.ZPlaquettes {
 			for _, q := range plq {
@@ -193,19 +198,9 @@ func (e *Experiment) buildCircuit() {
 			}
 		}
 		// Data idle noise for the full cycle.
-		for _, q := range dataAll {
-			c.PauliChannel1(idleDataX, idleDataY, idleDataZ, q)
-		}
-		// Measure-and-reset all ancillas: basis-type first so relative
-		// record offsets are uniform.
-		for i := 0; i < numBasis; i++ {
-			c.MR(mFlip, basisAncilla(i))
-		}
-		for i := 0; i < e.otherCount(); i++ {
-			c.MR(mFlip, e.otherAncilla(i))
-		}
+		c.PauliChannel1(idleDataX, idleDataY, idleDataZ, dataAll...)
+		c.MR(mFlip, measured...)
 		// Detectors on the basis-type stabilizers.
-		total := numBasis + e.otherCount()
 		for i := 0; i < numBasis; i++ {
 			recThis := -(total - i)
 			if r == 0 {
@@ -221,17 +216,16 @@ func (e *Experiment) buildCircuit() {
 		c.H(dataAll...)
 	}
 	c.M(dataAll...)
-	// Closing detectors: plaquette data parity vs last ancilla outcome.
-	total := numBasis + e.otherCount()
+	// Closing detectors: plaquette data parity vs the final round's
+	// basis-type ancilla outcome. Data records occupy the last n; before
+	// them sits the final round's ancilla block, basis-type first.
+	recs := make([]int, 0, 5)
 	for i, plq := range basisPlaq {
-		recs := make([]int, 0, len(plq)+1)
+		recs = recs[:0]
 		for _, q := range plq {
-			recs = append(recs, -(e.code.N - q))
+			recs = append(recs, -(n - q))
 		}
-		// The i-th basis ancilla of the final round sits total+n-i records
-		// back... compute: data records occupy the last n; before them the
-		// final round's ancilla block.
-		recs = append(recs, -(e.code.N + total - i))
+		recs = append(recs, -(n + total - i))
 		c.Detector(recs...)
 	}
 	// Logical observable: top row (Z) or left column (X).
@@ -239,25 +233,39 @@ func (e *Experiment) buildCircuit() {
 	if !isZ {
 		logical = e.code.LogicalX
 	}
-	var obsRecs []int
-	for _, q := range qec.Support(logical) {
-		obsRecs = append(obsRecs, -(e.code.N - q))
+	support := qec.Support(logical)
+	for i, q := range support {
+		support[i] = -(n - q)
 	}
-	c.Observable(0, obsRecs...)
+	c.Observable(0, support...)
 
 	e.Circuit = c
 }
 
-func (e *Experiment) otherCount() int {
-	if e.Params.Basis == 'Z' {
-		return len(e.layout.XPlaquettes)
-	}
-	return len(e.layout.ZPlaquettes)
-}
+// nonzero reports whether a Pauli channel has any error weight, the
+// condition under which PauliChannel1 emits an op.
+func nonzero(px, py, pz float64) bool { return px > 0 || py > 0 || pz > 0 }
 
-func (e *Experiment) otherAncilla(i int) int {
-	if e.Params.Basis == 'Z' {
-		return e.xAncilla(i)
+// opCount returns the exact number of ops buildCircuit emits: per round
+// the two idle layers (when their channels are nonzero), two H layers, one
+// CX plus one DEPOLARIZE2 (when P2 > 0) per plaquette qubit, one MR and
+// one detector per basis-type stabilizer; then the final M, the closing
+// detectors and the observable, plus the two data H layers of the X basis.
+func (e *Experiment) opCount(numBasis int, ancIdle, dataIdle bool) int {
+	p := e.Params
+	b2i := func(b bool) int {
+		if b {
+			return 1
+		}
+		return 0
 	}
-	return e.zAncilla(i)
+	cx := 0
+	for _, plq := range e.layout.XPlaquettes {
+		cx += len(plq)
+	}
+	for _, plq := range e.layout.ZPlaquettes {
+		cx += len(plq)
+	}
+	perRound := b2i(ancIdle) + 2 + cx*(1+b2i(p.P2 > 0)) + b2i(dataIdle) + 1 + numBasis
+	return p.Rounds*perRound + 1 + numBasis + 1 + 2*b2i(p.Basis == 'X')
 }

@@ -2,6 +2,7 @@ package surface
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -242,6 +243,19 @@ func BenchmarkRunSharded(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mustRun(b, e, 4096, int64(i), 4)
+	}
+}
+
+func BenchmarkNew(b *testing.B) {
+	for _, d := range []int{5, 13} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(DefaultParams(d)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
