@@ -1,6 +1,9 @@
 package decoder
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // appendAdjacency is the append-built per-node incidence list the CSR
 // adjacency replaced: edge indices in ascending order, boundary edges on
@@ -25,4 +28,22 @@ func CSRMismatch(u *UnionFind) int {
 		}
 	}
 	return -1
+}
+
+// ForestMismatch decodes the first nshots shots of a packed detector batch
+// one at a time with u and with the historical reference decoder, and
+// describes the first shot whose grown forest, peel seeds or prediction
+// differ, or returns "" when all agree.
+func ForestMismatch(u *UnionFind, words []uint64, nshots int) string {
+	ref := newRefUnionFind(u.g)
+	dense := make([]bool, u.g.NumNodes)
+	for s := 0; s < nshots; s++ {
+		for d, w := range words {
+			dense[d] = w>>uint(s)&1 == 1
+		}
+		if msg := forestDiff(u, ref, dense); msg != "" {
+			return fmt.Sprintf("shot %d: %s", s, msg)
+		}
+	}
+	return ""
 }

@@ -104,9 +104,10 @@ func checkSyndrome(t *testing.T, g *Graph, defects []bool, correction []int) {
 
 // FuzzUnionFindDecode drives the sparse decoder over fuzzer-built graphs
 // and defect patterns: no panics, predictions bit-identical to the
-// historical dense reference through every entry point, the reference's
-// correction syndrome-consistent on resolvable components, and no state
-// leakage across decodes on a reused instance.
+// historical dense reference through every entry point, the grown forest
+// and peel seeds identical to the reference's, the reference's correction
+// syndrome-consistent on resolvable components, and no state leakage
+// across decodes on a reused instance.
 func FuzzUnionFindDecode(f *testing.F) {
 	// Seeds: surface-code-shaped sector graphs (time chains + boundary
 	// columns), graphs whose node and edge counts straddle a bitmap word
@@ -180,6 +181,15 @@ func FuzzUnionFindDecode(f *testing.F) {
 		}
 		if got := u.Decode(defects); got != want {
 			t.Fatalf("re-decode: Decode=%d reference=%d", got, want)
+		}
+
+		// The growth phase itself: same grown edges and peel seeds as the
+		// reference, for the pattern and its complement.
+		if msg := forestDiff(u, ref, defects); msg != "" {
+			t.Fatalf("forest: %s", msg)
+		}
+		if msg := forestDiff(u, ref, inverted); msg != "" {
+			t.Fatalf("inverted forest: %s", msg)
 		}
 	})
 }

@@ -9,6 +9,16 @@ package decoder
 // compaction whose length update was discarded (`_ = kept`), which leaves
 // partially rewritten lists behind — is preserved exactly, not cleaned up.
 //
+// That compaction is behaviour-neutral. The rewrite only moves entries
+// still below growth 2 forward, over fully grown ones, so the list keeps
+// every ungrown entry and gains extra copies only of edges at growth 1 (a
+// kept entry whose original slot lies past the kept prefix). The first
+// visit of a growth-1 edge completes it; any further visit falls into the
+// growth >= 2 skip. So in every pass an ungrown edge still gains
+// min(2, growth + its endpoints in the cluster), exactly as with a list
+// that is compacted properly or, as the sparse decoder does, never
+// materialised at all.
+//
 // The only additions are the correction capture (chosen edge indices, so
 // tests can validate the correction's syndrome against the defects) and
 // the removal of telemetry.

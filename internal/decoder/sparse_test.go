@@ -65,6 +65,19 @@ func randomDefectWords(rng *splitmix.RNG, words []uint64, density int) {
 	}
 }
 
+// referenceGraphs is the graph set the sparse decoder is pinned to the
+// reference on: sector graphs from d = 5 to 13 and two random graphs drawn
+// from rng.
+func referenceGraphs(rng *splitmix.RNG) map[string]*Graph {
+	return map[string]*Graph{
+		"sector-d5":  sectorGraph(5, 6),
+		"sector-d9":  sectorGraph(9, 10),
+		"sector-d13": sectorGraph(13, 14),
+		"random-32":  randomGraph(rng, 32, 64),
+		"random-7":   randomGraph(rng, 7, 9),
+	}
+}
+
 // TestSparseDecoderMatchesReference pins the rewritten sparse decoder to
 // the historical dense implementation (reference_test.go) on 10k randomized
 // shots per graph: every prediction must agree bit for bit, through all
@@ -73,13 +86,7 @@ func randomDefectWords(rng *splitmix.RNG, words []uint64, density int) {
 // exercised the way the shard runners use it.
 func TestSparseDecoderMatchesReference(t *testing.T) {
 	rng := splitmix.New(11)
-	graphs := map[string]*Graph{
-		"sector-d5":  sectorGraph(5, 6),
-		"sector-d9":  sectorGraph(9, 10),
-		"sector-d13": sectorGraph(13, 14),
-		"random-32":  randomGraph(rng, 32, 64),
-		"random-7":   randomGraph(rng, 7, 9),
-	}
+	graphs := referenceGraphs(rng)
 	const shots = 10000
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {
@@ -190,6 +197,31 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCloneWarmUpAllocations gates what a decoder costs from birth, the
+// regime of a sweep that builds one decoder per point and clones it per mc
+// worker: a fresh Clone of a d = 13 sector graph plus its first 5 batches
+// must stay within 100 allocations. Cluster merges and first touches
+// allocate nothing; what remains is the Clone's fixed scratch and the
+// arenas growing to their high-water mark.
+func TestCloneWarmUpAllocations(t *testing.T) {
+	g := sectorGraph(13, 14)
+	proto := NewUnionFind(g)
+	words := make([]uint64, g.NumNodes)
+	preds := make([]uint64, 64)
+	avg := testing.AllocsPerRun(10, func() {
+		splitmixShared.Seed(13)
+		u := proto.Clone()
+		for i := 0; i < 5; i++ {
+			randomDefectWords(splitmixShared, words, 3)
+			u.DecodeBatch(words, 64, preds)
+		}
+	})
+	if avg > 100 {
+		t.Errorf("Clone plus 5 batches allocates %.0f times, want at most 100", avg)
+	}
+	t.Logf("Clone plus 5 batches: %.0f allocations", avg)
+}
+
 // splitmixShared backs the allocation tests: package-level so the measured
 // closures draw randomness without capturing a fresh generator (and without
 // any allocation attributable to the run itself).
@@ -275,6 +307,23 @@ func wordBoundaryGraph(rng *splitmix.RNG, n int) *Graph {
 	return g
 }
 
+// benchBatches draws n dense 64-shot detector batches (about a quarter of
+// detectors firing) for g and returns them with the mean defect count per
+// batch.
+func benchBatches(g *Graph, seed int64, n int) ([][]uint64, float64) {
+	rng := splitmix.New(seed)
+	batches := make([][]uint64, n)
+	defects := 0
+	for i := range batches {
+		batches[i] = make([]uint64, g.NumNodes)
+		randomDefectWords(rng, batches[i], 2)
+		for _, w := range batches[i] {
+			defects += bits.OnesCount64(w)
+		}
+	}
+	return batches, float64(defects) / float64(n)
+}
+
 // BenchmarkUnionFindDecodeBatch decodes dense 64-shot batches (about a
 // quarter of detectors firing) on sector graphs at d = 5 and d = 13 and
 // reports ns/defect, so the decoder's scaling in the defect count shows in
@@ -284,23 +333,39 @@ func BenchmarkUnionFindDecodeBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) {
 			g := sectorGraph(d, d+1)
 			u := NewUnionFind(g)
-			rng := splitmix.New(int64(d))
-			batches := make([][]uint64, 16)
-			defects := 0
-			for i := range batches {
-				batches[i] = make([]uint64, g.NumNodes)
-				randomDefectWords(rng, batches[i], 2)
-				for _, w := range batches[i] {
-					defects += bits.OnesCount64(w)
-				}
-			}
+			batches, perBatch := benchBatches(g, int64(d), 16)
 			preds := make([]uint64, 64)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				u.DecodeBatch(batches[i%len(batches)], 64, preds)
 			}
-			perBatch := float64(defects) / float64(len(batches))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perBatch), "ns/defect")
+		})
+	}
+}
+
+// BenchmarkUnionFindDecodeBatchCold measures a decoder from birth: each
+// iteration clones a fresh decoder and decodes its first 5 batches (320
+// shots), the regime of a sweep that builds one decoder per point and
+// clones it per mc worker, so warm-up allocation and its GC are paid on
+// every iteration rather than amortised away.
+func BenchmarkUnionFindDecodeBatchCold(b *testing.B) {
+	for _, d := range []int{5, 13} {
+		b.Run(fmt.Sprintf("d%d", d), func(b *testing.B) {
+			g := sectorGraph(d, d+1)
+			proto := NewUnionFind(g)
+			batches, perBatch := benchBatches(g, int64(d), 5)
+			preds := make([]uint64, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u := proto.Clone()
+				for _, words := range batches {
+					u.DecodeBatch(words, 64, preds)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perBatch*float64(len(batches))), "ns/defect")
 		})
 	}
 }

@@ -1,10 +1,12 @@
 package decoder_test
 
 import (
+	"fmt"
 	"testing"
 
 	"hetarch/internal/decoder"
 	"hetarch/internal/splitmix"
+	"hetarch/internal/stabsim"
 	"hetarch/internal/surface"
 )
 
@@ -12,13 +14,49 @@ import (
 // distance d in the given basis.
 func surfaceGraph(tb testing.TB, d int, basis byte) *decoder.Graph {
 	tb.Helper()
+	return surfaceExperiment(tb, d, basis).Graph
+}
+
+// surfaceExperiment returns the Fig. 6/7 memory experiment at distance d
+// with default noise in the given basis.
+func surfaceExperiment(tb testing.TB, d int, basis byte) *surface.Experiment {
+	tb.Helper()
 	p := surface.DefaultParams(d)
 	p.Basis = basis
 	e, err := surface.New(p)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return e.Graph
+	return e
+}
+
+// TestSurfaceGraphGrownForest pins the growth phase to the historical
+// reference decoder on the real surface-code graphs, d = 3…13 in both
+// bases, with defects from the experiment's own circuit: 64 batches of
+// BatchFrameSampler shots per graph (8 under -short, where the race
+// detector makes the dense reference slow) on one reused decoder, every
+// shot's fully grown edge set, peel seeds and prediction equal to the
+// reference's.
+func TestSurfaceGraphGrownForest(t *testing.T) {
+	batches := 64
+	if testing.Short() {
+		batches = 8
+	}
+	for d := 3; d <= 13; d++ {
+		for _, basis := range []byte{'Z', 'X'} {
+			t.Run(fmt.Sprintf("d%d-%c", d, basis), func(t *testing.T) {
+				t.Parallel()
+				e := surfaceExperiment(t, d, basis)
+				u := decoder.NewUnionFind(e.Graph)
+				bs := stabsim.NewBatchFrameSampler(e.Circuit, splitmix.New(int64(d)))
+				for b := 0; b < batches; b++ {
+					if msg := decoder.ForestMismatch(u, bs.SampleBatch().Detectors, 64); msg != "" {
+						t.Fatalf("batch %d: %s", b, msg)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestSurfaceGraphCSR checks the CSR adjacency against the append-built

@@ -3,6 +3,7 @@ package decoder
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"hetarch/internal/obs"
 )
@@ -54,23 +55,45 @@ func (g *Graph) Validate() error {
 // which is what lets the Fig. 6/7 experiments run Monte Carlo at distance
 // 13+ where shots with zero or one defect dominate.
 //
-// Sparsity rests on three mechanisms:
+// Sparsity rests on four mechanisms:
 //
 //   - Epoch-stamped node scratch. The per-node arrays (cluster forest,
-//     peel state) carry a generation stamp; "resetting" for the next shot
-//     is a single counter bump, and state is lazily initialized the first
-//     time a node is touched in a given decode. Per-edge state is one
-//     growth byte, zeroed after the peel through the list of edges the
-//     decode grew. A shot with d defects therefore costs O(cluster area
-//     around the defects), never O(NumNodes + Edges).
-//   - Arena slices. All transient lists (active roots, odd roots, BFS
-//     queue/order) live on the decoder and are reused across calls, so
-//     steady-state decoding performs zero allocations.
+//     frontier links, peel state) carry a generation stamp; "resetting"
+//     for the next shot is a single counter bump, and state is lazily
+//     initialized the first time a node is touched in a given decode.
+//     Per-edge state is one growth byte, zeroed after the peel through the
+//     list of edges the decode grew. A shot with d defects therefore costs
+//     O(cluster area around the defects), never O(NumNodes + Edges).
+//   - An intrusive cluster frontier. Each cluster is a singly linked list
+//     of its member nodes that still have an incident edge below growth 2
+//     (next links members; head and tail are valid at roots; left counts a
+//     node's ungrown incident edges). A union splices the smaller root's
+//     list onto the larger root's tail in O(1), and a growth pass scans each
+//     listed node's incident edges straight from the shared CSR adjacency,
+//     so neither touching a node nor merging clusters copies or allocates
+//     anything. The pass stops at the tail the list had when it started:
+//     nodes spliced in during the pass grow next round. Afterwards one walk
+//     unlinks the nodes whose edges are all fully grown.
+//   - Arena slices. All transient lists (active roots, odd roots, grown
+//     edges, BFS queue/order, the batch defect lists) live on the decoder
+//     and are reused across calls, so steady-state decoding performs zero
+//     allocations. Their capacity is reached during a decoder's warm-up,
+//     which every Clone pays afresh.
 //   - Self-clearing bitmaps. Peel roots are marked in a node bitmap and
 //     grown boundary edges in an edge bitmap; peel walks each word by word
 //     with bits.TrailingZeros64, zeroing words as it reads them. The walk
 //     visits in ascending index order with duplicates merged, in
 //     O(touched + N/64), and leaves the bitmaps clean for the next decode.
+//
+// Growth is exact, edge for edge, against the reference decoder the tests
+// pin it to, which keeps a copied edge list per cluster. That list is
+// always the concatenation, in merge order, of the members' incident-edge
+// lists, filtered only of fully grown edges, which every visit skips
+// anyway. The frontier visits the same ungrown edges in the same order, so
+// in every pass an ungrown edge gains min(2, growth + its endpoints among
+// the pass-start members), and the unions and their roots, the parity and
+// boundary flags, the peel seeds and the final growth-2 edge set all come
+// out identical.
 //
 // The decoder is reusable: Decode/DecodeBits/DecodeBatch may be called
 // repeatedly with different defect patterns. It is not safe for concurrent
@@ -97,13 +120,17 @@ type UnionFind struct {
 	boundary []bool // cluster touches the boundary
 	// growth is the per-edge growth 0..2; 2 means the edge is on the peel
 	// forest. It is all-zero between decodes: grown lists the edges this
-	// decode has grown, and decode zeroes them after the peel.
+	// decode has grown, and peel zeroes them once it is done with them.
 	growth []uint8
 	grown  []int
-	// edgeList[root] holds the indices of edges incident to the cluster;
-	// merged on union so growth never rescans the whole graph. Slots keep
-	// their capacity across decodes.
-	edgeList [][]int
+	// Cluster frontier, valid where nodeEpoch == epoch: the member nodes of
+	// a cluster with edges left to grow, linked head[root] → next → …
+	// tail[root] (−1 terminates; head and tail are −1 for an empty
+	// frontier). left[i] counts node i's incident edges below growth 2.
+	next []int
+	head []int
+	tail []int
+	left []int
 
 	// growth-phase arenas
 	defects   []int    // scratch defect list for the dense/bit entry points
@@ -129,9 +156,12 @@ type UnionFind struct {
 	queue        []int // BFS ring: qHead indexes the next pop, so the arena's
 	qHead        int   // backing array is reused instead of sliced away
 
-	// batchDefects[s] is shot s's defect list, rebuilt by DecodeBatch's
-	// one-pass transpose of the packed detector words.
-	batchDefects [64][]int
+	// batchDefects holds a batch's per-shot defect lists back to back:
+	// shot s's ascending list is batchDefects[batchStart[s]:batchStart[s+1]],
+	// rebuilt by DecodeBatch's count-then-fill transpose of the packed
+	// detector words.
+	batchDefects []int
+	batchStart   [65]int
 }
 
 // NewUnionFind builds a decoder for the graph.
@@ -176,7 +206,10 @@ func newUnionFind(g *Graph, adjStart, adjEdges []int) *UnionFind {
 	u.parity = make([]int, g.NumNodes)
 	u.boundary = make([]bool, g.NumNodes)
 	u.growth = make([]uint8, len(g.Edges))
-	u.edgeList = make([][]int, g.NumNodes)
+	u.next = make([]int, g.NumNodes)
+	u.head = make([]int, g.NumNodes)
+	u.tail = make([]int, g.NumNodes)
+	u.left = make([]int, g.NumNodes)
 	u.seenStamp = make([]uint64, g.NumNodes)
 	u.peelEpoch = make([]uint64, g.NumNodes)
 	u.visited = make([]bool, g.NumNodes)
@@ -204,8 +237,8 @@ func (u *UnionFind) incident(i int) []int {
 }
 
 // touchNode lazily initializes node i's cluster state for the current
-// decode: a singleton, even-parity, boundary-free cluster whose edge list
-// is its adjacency (the slot's capacity is recycled across decodes).
+// decode: a singleton, even-parity, boundary-free cluster whose frontier is
+// the node itself, with all of its incident edges left to grow.
 func (u *UnionFind) touchNode(i int) {
 	if u.nodeEpoch[i] == u.epoch {
 		return
@@ -215,7 +248,10 @@ func (u *UnionFind) touchNode(i int) {
 	u.size[i] = 1
 	u.parity[i] = 0
 	u.boundary[i] = false
-	u.edgeList[i] = append(u.edgeList[i][:0], u.incident(i)...)
+	u.next[i] = -1
+	u.head[i] = i
+	u.tail[i] = i
+	u.left[i] = u.adjStart[i+1] - u.adjStart[i]
 }
 
 // touchPeel lazily initializes node i's peel-phase state.
@@ -252,9 +288,30 @@ func (u *UnionFind) union(a, b int) int {
 	u.size[ra] += u.size[rb]
 	u.parity[ra] = (u.parity[ra] + u.parity[rb]) % 2
 	u.boundary[ra] = u.boundary[ra] || u.boundary[rb]
-	u.edgeList[ra] = append(u.edgeList[ra], u.edgeList[rb]...)
-	u.edgeList[rb] = u.edgeList[rb][:0] // keep the slot's capacity
+	if u.head[rb] >= 0 {
+		if u.head[ra] >= 0 {
+			u.next[u.tail[ra]] = u.head[rb]
+		} else {
+			u.head[ra] = u.head[rb]
+		}
+		u.tail[ra] = u.tail[rb]
+	}
 	return ra
+}
+
+// prune unlinks from root's frontier the nodes whose incident edges are all
+// fully grown: they have nothing left to grow in any later pass.
+func (u *UnionFind) prune(root int) {
+	link, tail := &u.head[root], -1
+	for n := u.head[root]; n >= 0; n = u.next[n] {
+		if u.left[n] > 0 {
+			*link = n
+			link = &u.next[n]
+			tail = n
+		}
+	}
+	*link = -1
+	u.tail[root] = tail
 }
 
 // Decode takes the dense defect pattern (one bool per node) and returns
@@ -299,9 +356,10 @@ func (u *UnionFind) DecodeBits(words []uint64, shot int) uint64 {
 
 // DecodeBatch decodes the first nshots shots of a packed 64-shot detector
 // batch, writing per-shot observable-flip predictions into preds[:nshots].
-// One pass over the detector words transposes set bits into per-shot
-// defect lists (O(detectors + defects) for the whole batch, instead of 64
-// dense scans), then each shot runs through the sparse core.
+// Two passes over the detector words — count each shot's defects, then
+// fill — transpose the set bits into per-shot defect lists laid out back to
+// back in one arena (O(detectors + defects) for the whole batch, instead of
+// 64 dense scans), then each shot runs through the sparse core.
 // Allocation-free after warm-up.
 func (u *UnionFind) DecodeBatch(words []uint64, nshots int, preds []uint64) {
 	if len(words) != u.g.NumNodes {
@@ -313,23 +371,33 @@ func (u *UnionFind) DecodeBatch(words []uint64, nshots int, preds []uint64) {
 	if len(preds) < nshots {
 		panic("decoder: prediction buffer too small")
 	}
-	for s := 0; s < nshots; s++ {
-		u.batchDefects[s] = u.batchDefects[s][:0]
-	}
 	mask := ^uint64(0)
 	if nshots < 64 {
 		mask = 1<<uint(nshots) - 1
 	}
+	start := &u.batchStart
+	*start = [65]int{}
+	for _, w := range words {
+		for w &= mask; w != 0; w &= w - 1 {
+			start[bits.TrailingZeros64(w)+1]++
+		}
+	}
+	for s := 0; s < 64; s++ {
+		start[s+1] += start[s]
+	}
+	u.batchDefects = slices.Grow(u.batchDefects[:0], start[64])[:start[64]]
+	// Detectors are visited in ascending order, so each shot's list fills
+	// ascending.
+	fill := [64]int(start[:64])
 	for d, w := range words {
-		w &= mask
-		for w != 0 {
+		for w &= mask; w != 0; w &= w - 1 {
 			s := bits.TrailingZeros64(w)
-			w &= w - 1
-			u.batchDefects[s] = append(u.batchDefects[s], d)
+			u.batchDefects[fill[s]] = d
+			fill[s]++
 		}
 	}
 	for s := 0; s < nshots; s++ {
-		preds[s] = u.decode(u.batchDefects[s])
+		preds[s] = u.decode(u.batchDefects[start[s]:start[s+1]])
 	}
 }
 
@@ -340,6 +408,16 @@ func (u *UnionFind) DecodeBatch(words []uint64, nshots int, preds []uint64) {
 func (u *UnionFind) decode(defects []int) uint64 {
 	ufDecodes.Inc()
 	ufDefects.Observe(int64(len(defects)))
+	u.grow(defects)
+	return u.peel(defects)
+}
+
+// grow runs the growth phase of a new decode: it seeds one odd cluster per
+// defect, then grows every odd, boundary-free cluster by a half-step per
+// round until none is left or none can grow. It leaves the fully grown
+// edges at growth 2 (every edge it grew is listed in grown) and the peel
+// seeds in nodeBits and edgeBits, for peel to consume.
+func (u *UnionFind) grow(defects []int) {
 	u.epoch++
 
 	// Seed the defect clusters. Active clusters are represented in
@@ -374,53 +452,41 @@ func (u *UnionFind) decode(defects []int) uint64 {
 		progress := false
 		for _, root := range u.oddRoots {
 			root = u.find(root) // may have been merged earlier this round
-			// Grow the cluster's incident edges. The slice header is
-			// snapshotted: edges appended by unions during this pass are
-			// grown in a later round, matching the historical behavior.
-			list := u.edgeList[root]
-			for _, ei := range list {
-				if u.growth[ei] >= 2 {
-					continue
-				}
-				if u.growth[ei] == 0 {
-					u.grown = append(u.grown, ei)
-				}
-				u.growth[ei]++
-				progress = true
-				if u.growth[ei] == 2 {
+			// Grow the ungrown edges of the cluster's frontier nodes. The
+			// walk stops at the pass-start tail: nodes that unions splice
+			// in during this pass lie after it and grow in a later round.
+			for n, last := u.head[root], u.tail[root]; n >= 0; n = u.next[n] {
+				for _, ei := range u.incident(n) {
+					if u.growth[ei] >= 2 {
+						continue
+					}
+					if u.growth[ei] == 0 {
+						u.grown = append(u.grown, ei)
+					}
+					u.growth[ei]++
+					progress = true
+					if u.growth[ei] < 2 {
+						continue
+					}
 					e := u.g.Edges[ei]
 					if e.V == Boundary {
 						setBit(u.edgeBits, ei)
-						r := u.find(e.U)
-						u.boundary[r] = true
+						u.boundary[u.find(e.U)] = true
 					} else {
 						setBit(u.nodeBits, e.U)
 						setBit(u.nodeBits, e.V)
-						newRoot := u.union(e.U, e.V)
-						if newRoot != root {
-							// The cluster was absorbed into a larger one;
-							// its remaining edges were already appended to
-							// the new root's list by union.
-							root = newRoot
-						}
+						// n is in this cluster, so the union's root is
+						// the cluster's root from here on.
+						root = u.union(e.U, e.V)
+						u.left[e.V]--
 					}
+					u.left[e.U]--
+				}
+				if n == last {
+					break
 				}
 			}
-			// Compact fully-grown edges out of the surviving root's list so
-			// later rounds don't rescan them. Entries an interleaved union
-			// duplicated are left in place: a duplicate's second visit falls
-			// into the growth>=2 skip, so dropping only grown edges is
-			// behavior-preserving.
-			if u.find(root) == root {
-				cur := u.edgeList[root]
-				w := 0
-				for _, ei := range cur {
-					// Branch-free: growth>>1 is 1 exactly when ei is grown.
-					cur[w] = ei
-					w += int(1 - u.growth[ei]>>1)
-				}
-				u.edgeList[root] = cur[:w]
-			}
+			u.prune(root)
 		}
 		if !progress {
 			// An odd cluster has exhausted its neighborhood without reaching
@@ -440,13 +506,6 @@ func (u *UnionFind) decode(defects []int) uint64 {
 		}
 		u.active = next
 	}
-
-	obsMask := u.peel(defects)
-	for _, ei := range u.grown {
-		u.growth[ei] = 0
-	}
-	u.grown = u.grown[:0]
-	return obsMask
 }
 
 // setBit sets bit i of the bitmap bm.
@@ -455,7 +514,9 @@ func setBit(bm []uint64, i int) { bm[i>>6] |= 1 << uint(i&63) }
 // peel extracts a correction from the grown cluster forests and returns the
 // XOR of the observable masks of the chosen edges. Only nodes reachable
 // from grown edges or defects are visited; everything else is untouched
-// scratch from some earlier epoch.
+// scratch from some earlier epoch. It consumes what grow left: the seed
+// bitmaps are zeroed as they are walked and the grown edges' growth bytes
+// at the end, so the next decode starts clean.
 func (u *UnionFind) peel(defects []int) uint64 {
 	for _, d := range defects {
 		u.touchPeel(d)
@@ -523,6 +584,10 @@ func (u *UnionFind) peel(defects []int) uint64 {
 		// had odd parity without boundary contact, which the growth phase
 		// prevents; leave it (decoder failure surfaces as a logical error).
 	}
+	for _, ei := range u.grown {
+		u.growth[ei] = 0
+	}
+	u.grown = u.grown[:0]
 	return obsMask
 }
 
