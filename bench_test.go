@@ -159,9 +159,10 @@ func BenchmarkDSESpeedup(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationFrameVsTableau compares the Pauli-frame Monte Carlo
-// sampler against exact tableau re-execution on the same d=3 surface-code
-// memory circuit — the speedup that makes module-level sweeps tractable.
+// BenchmarkAblationFrameVsTableau compares bit-parallel Pauli-frame
+// sampling against exact tableau re-execution on the same d=3 surface-code
+// memory circuit, per shot — the speedup that makes module-level sweeps
+// tractable.
 func BenchmarkAblationFrameVsTableau(b *testing.B) {
 	p := surface.DefaultParams(3)
 	e, err := surface.New(p)
@@ -169,10 +170,12 @@ func BenchmarkAblationFrameVsTableau(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("frame", func(b *testing.B) {
-		fs := stabsim.NewFrameSampler(e.Circuit, rand.New(rand.NewSource(1)))
+		bs := stabsim.NewBatchFrameSampler(e.Circuit, splitmix.New(1))
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fs.Sample()
+		// Each iteration is normalized to one shot: run a 64-shot batch
+		// every 64 iterations.
+		for i := 0; i < b.N; i += 64 {
+			bs.SampleBatch()
 		}
 	})
 	b.Run("tableau", func(b *testing.B) {
@@ -342,32 +345,6 @@ func BenchmarkAblationScheduleOptimizer(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationScalarVsBatchSampling compares the scalar frame sampler
-// against the bit-parallel 64-shot batch sampler on the d=13 surface-code
-// circuit (per-shot cost).
-func BenchmarkAblationScalarVsBatchSampling(b *testing.B) {
-	e, err := surface.New(surface.DefaultParams(13))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("scalar", func(b *testing.B) {
-		fs := stabsim.NewFrameSampler(e.Circuit, rand.New(rand.NewSource(1)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fs.Sample()
-		}
-	})
-	b.Run("batch64", func(b *testing.B) {
-		bs := stabsim.NewBatchFrameSampler(e.Circuit, splitmix.New(1))
-		b.ResetTimer()
-		// Each iteration is normalized to one shot: run a 64-shot batch
-		// every 64 iterations.
-		for i := 0; i < b.N; i += 64 {
-			bs.SampleBatch()
-		}
-	})
 }
 
 // BenchmarkAblationDistillationProtocols compares DEJMPS against BBPSSW:

@@ -707,7 +707,7 @@ func interrupted(ctx context.Context, err error) bool {
 }
 
 // totalShots aggregates every logical-shot counter (surface.shots,
-// uec.shots, uec.memory.shots, ...) for the progress heartbeat.
+// uec.shots, ...) for the progress heartbeat.
 func totalShots() int64 {
 	return obs.Default.Snapshot().SumCounters(func(name string) bool {
 		return strings.HasSuffix(name, ".shots")

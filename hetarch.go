@@ -367,7 +367,8 @@ func NewCATState(n int) *StateVector { return statevec.GHZ(n) }
 // Multi-round UEC memory.
 
 // UECMemory is an R-round serialized memory experiment on the universal
-// error-correction module.
+// error-correction module. Its one-round case is UECModule: the same
+// circuit, sampled and decoded by the same bit-parallel runner.
 type UECMemory = uec.MemoryExperiment
 
 // NewUECMemory compiles an R-round UEC memory experiment.

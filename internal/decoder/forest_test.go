@@ -82,12 +82,7 @@ func forestDiff(u *UnionFind, ref *refUnionFind, dense []bool) string {
 func TestGrownForestMatchesReference(t *testing.T) {
 	rng := splitmix.New(13)
 	graphs := referenceGraphs(rng)
-	var names []string
-	for name := range graphs {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
+	for _, name := range sortedNames(graphs) {
 		g := graphs[name]
 		t.Run(name, func(t *testing.T) {
 			u := NewUnionFind(g)

@@ -78,12 +78,13 @@ type Shard struct {
 	Lane int
 }
 
-// RNG returns a fresh deterministic generator for the shard's stream,
-// backed by the engine's SplitMix64 source (see rng.go). Hot shard runners
-// avoid even this small allocation by holding one NewRand per worker and
-// reseeding it per shard; RNG remains for one-off callers and tests.
+// RNG returns a fresh deterministic *rand.Rand for the shard's stream,
+// over the engine's SplitMix64 source. Hot shard runners avoid even this
+// small allocation: they hold one *splitmix.RNG per worker and reseed it
+// per shard (a single word store), so the per-draw Float64 inlines into
+// the sampling loop. RNG serves one-off callers and tests.
 func (s Shard) RNG() *rand.Rand {
-	return NewRand(s.Seed)
+	return rand.New(splitmix.New(s.Seed))
 }
 
 // Config describes one sharded run.

@@ -56,8 +56,8 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
-// TestSource64Contract: the RNG must satisfy rand.Source64 so mc.NewRand
-// can wrap it, and Int63 must be non-negative.
+// TestSource64Contract: the RNG must satisfy rand.Source64 so mc's
+// Shard.RNG can wrap it, and Int63 must be non-negative.
 func TestSource64Contract(t *testing.T) {
 	var src rand.Source64 = New(9)
 	rr := rand.New(src)

@@ -74,9 +74,14 @@ func (m *maskParams) mask(rng *splitmix.RNG) uint64 {
 // noise channels sample sparse bit masks (errors are rare, so the expected
 // cost per channel is O(64·p) rather than O(64)).
 //
-// The output is bit-transposed relative to FrameSampler: each detector and
-// observable is reported as a 64-bit word holding that signal for all 64
-// shots of the batch.
+// The output is bit-transposed relative to TableauRunner.Sample: each
+// detector and observable is reported as a 64-bit word holding that signal
+// for all 64 shots of the batch.
+//
+// The contract is the standard one: every DETECTOR must reference a
+// measurement set whose parity is deterministic without noise. Under that
+// contract a detector fires exactly when the XOR of its referenced
+// measurement *flips* is 1, and an observable flips likewise.
 type BatchFrameSampler struct {
 	c   *Circuit
 	rng *splitmix.RNG

@@ -90,77 +90,50 @@ func TestBatchNoiselessQuiet(t *testing.T) {
 	}
 }
 
-func TestBatchMatchesScalarRates(t *testing.T) {
+func TestBatchMatchesTableauRates(t *testing.T) {
+	// 120 batches (7680 shots) against 6000 exact tableau shots.
 	c := repCodeCircuit(0.08, 2)
-	batches := 120 // 7680 shots
-	bs := NewBatchFrameSampler(c, splitmix.New(3))
-	counts := make([]int, c.NumDetectors())
-	obsCount := 0
-	for i := 0; i < batches; i++ {
-		res := bs.SampleBatch()
-		for d, w := range res.Detectors {
-			counts[d] += bits.OnesCount64(w)
-		}
-		obsCount += bits.OnesCount64(res.Observables[0])
-	}
-	shots := batches * 64
-	scalarShots := 6000
-	fs := NewFrameSampler(c, rand.New(rand.NewSource(4)))
-	scalarCounts := make([]int, c.NumDetectors())
-	scalarObs := 0
-	for i := 0; i < scalarShots; i++ {
-		res := fs.Sample()
-		for d, v := range res.Detectors {
-			if v {
-				scalarCounts[d]++
-			}
-		}
-		if res.Observables[0] {
-			scalarObs++
+	det, obs := batchRates(c, 3, 120*64)
+	tDet, tObs := tableauRates(c, 4, 6000)
+	for d := range det {
+		if math.Abs(det[d]-tDet[d]) > 0.03 {
+			t.Fatalf("detector %d: batch %.3f vs tableau %.3f", d, det[d], tDet[d])
 		}
 	}
-	for d := range counts {
-		batchRate := float64(counts[d]) / float64(shots)
-		scalarRate := float64(scalarCounts[d]) / float64(scalarShots)
-		if math.Abs(batchRate-scalarRate) > 0.03 {
-			t.Fatalf("detector %d: batch %.3f vs scalar %.3f", d, batchRate, scalarRate)
-		}
-	}
-	if math.Abs(float64(obsCount)/float64(shots)-float64(scalarObs)/float64(scalarShots)) > 0.03 {
+	if math.Abs(obs[0]-tObs[0]) > 0.03 {
 		t.Fatal("observable rates disagree")
 	}
 }
 
-func TestBatchGateConventionsMatchScalar(t *testing.T) {
+func TestBatchGateConventionsMatchTableau(t *testing.T) {
 	// Deterministic error propagation through every gate type must agree
-	// bit-for-bit with the scalar sampler.
-	build := func() *Circuit {
-		c := NewCircuit(3)
-		c.XError(1.0, 0)
-		c.ZError(1.0, 2)
-		c.H(0)       // X->Z on 0
-		c.S(0)       // Z unchanged
-		c.H(0)       // back to X
-		c.CX(0, 1)   // X copies to 1
-		c.CZ(1, 2)   // X on 1 adds Z on 2 (cancels existing Z), X on...
-		c.Swap(0, 2) // swap frames
-		c.M(0, 1, 2)
-		c.Detector(-3)
-		c.Detector(-2)
-		c.Detector(-1)
-		return c
+	// bit-for-bit with the exact tableau. The gates under test are preceded
+	// by their inverse, so every noiseless measurement is a deterministic 0
+	// (the detector contract the tableau reference needs), while the
+	// certain errors in between propagate through the gates under test
+	// alone.
+	c := NewCircuit(3)
+	c.Swap(0, 2).CZ(1, 2).CX(0, 1).H(0).SDag(0).H(0) // inverse of the gates below
+	c.XError(1.0, 0)
+	c.ZError(1.0, 2)
+	c.H(0)       // X->Z on 0
+	c.S(0)       // Z unchanged
+	c.H(0)       // back to X
+	c.CX(0, 1)   // X copies to 1
+	c.CZ(1, 2)   // X on 1 adds Z on 2 (cancels existing Z), X on...
+	c.Swap(0, 2) // swap frames
+	c.M(0, 1, 2)
+	c.Detector(-3)
+	c.Detector(-2)
+	c.Detector(-1)
+	if !NewTableauRunner(c, rand.New(rand.NewSource(1))).VerifyDetectorsDeterministic(4) {
+		t.Fatal("echo circuit has non-deterministic detectors")
 	}
-	fs := NewFrameSampler(build(), rand.New(rand.NewSource(1)))
-	sres := fs.Sample()
-	bs := NewBatchFrameSampler(build(), splitmix.New(1))
-	bres := bs.SampleBatch()
-	for d := range sres.Detectors {
-		want := uint64(0)
-		if sres.Detectors[d] {
-			want = ^uint64(0)
-		}
-		if bres.Detectors[d] != want {
-			t.Fatalf("detector %d: scalar %v batch %x", d, sres.Detectors[d], bres.Detectors[d])
+	want := NewTableauRunner(c, rand.New(rand.NewSource(1))).Sample()
+	bres := NewBatchFrameSampler(c, splitmix.New(1)).SampleBatch()
+	for d, w := range bres.Detectors {
+		if got := lanes(t, w); got != want.Detectors[d] {
+			t.Fatalf("detector %d: tableau %v batch %x", d, want.Detectors[d], w)
 		}
 	}
 }

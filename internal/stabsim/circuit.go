@@ -6,13 +6,15 @@
 // measurements, and annotations (DETECTOR / OBSERVABLE) referencing earlier
 // measurement records. Two execution backends are provided:
 //
-//   - FrameSampler: propagates a Pauli frame (error difference relative to a
-//     noiseless reference execution) through the circuit. Cost per shot is
-//     linear in circuit size, independent of qubit count beyond bit storage.
-//     This is what makes 10⁴+-shot Monte Carlo over hundreds of qubits cheap.
+//   - BatchFrameSampler: propagates Pauli frames (error differences relative
+//     to a noiseless reference execution) through the circuit, 64 shots per
+//     machine word. Cost per batch is linear in circuit size, independent of
+//     qubit count beyond word storage. This is what makes 10⁴+-shot Monte
+//     Carlo over hundreds of qubits cheap.
 //   - TableauRunner: exact stabilizer execution via the Aaronson–Gottesman
-//     tableau with noise sampled as explicit Pauli injections. Quadratically
-//     slower, used to validate the frame sampler and for exact small runs.
+//     tableau with noise sampled as explicit Pauli injections, one shot at a
+//     time. Quadratically slower; it is the exact reference the frame
+//     sampler is validated against.
 //
 // Both require valid circuits: every DETECTOR must reference a measurement
 // set whose parity is deterministic in the absence of noise (the standard

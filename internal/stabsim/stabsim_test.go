@@ -2,9 +2,12 @@ package stabsim
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hetarch/internal/splitmix"
 )
 
 func TestCircuitBuilderCounts(t *testing.T) {
@@ -45,39 +48,54 @@ func TestCircuitBuilderPanics(t *testing.T) {
 	}
 }
 
+// The frame-propagation tests below run one 64-shot BatchFrameSampler
+// batch of a circuit whose errors are certain (p = 1) or absent, so every
+// shot — every bit lane of a detector or observable word — must carry the
+// same value.
+
+// sampleBatch runs one 64-shot batch of c.
+func sampleBatch(c *Circuit) BatchResult {
+	return NewBatchFrameSampler(c, splitmix.New(1)).SampleBatch()
+}
+
+// lanes returns the value every shot of a deterministic batch word shares,
+// failing the test when the shots disagree.
+func lanes(t *testing.T, w uint64) bool {
+	t.Helper()
+	switch w {
+	case 0:
+		return false
+	case ^uint64(0):
+		return true
+	}
+	t.Fatalf("shots of one batch disagree: %#x", w)
+	return false
+}
+
 func TestFrameNoiselessAllQuiet(t *testing.T) {
 	c := NewCircuit(4)
 	c.H(0).CX(0, 1).CX(1, 2).CX(2, 3).M(0, 1, 2, 3)
 	c.Detector(-1, -2).Detector(-2, -3).Detector(-3, -4)
-	fs := NewFrameSampler(c, rand.New(rand.NewSource(1)))
-	for i := 0; i < 20; i++ {
-		res := fs.Sample()
-		for _, d := range res.Detectors {
-			if d {
-				t.Fatal("noiseless detector fired")
-			}
+	for d, w := range sampleBatch(c).Detectors {
+		if w != 0 {
+			t.Fatalf("noiseless detector %d fired: %#x", d, w)
 		}
 	}
 }
 
 func TestFrameDeterministicXError(t *testing.T) {
+	// The detector on the lone measurement is that measurement's flip.
 	c := NewCircuit(1)
 	c.XError(1.0, 0).M(0).Detector(-1)
-	fs := NewFrameSampler(c, rand.New(rand.NewSource(1)))
-	res := fs.Sample()
-	if !res.Detectors[0] {
-		t.Fatal("certain X error should fire detector")
-	}
-	if !res.MeasurementFlips[0] {
-		t.Fatal("measurement flip not recorded")
+	if !lanes(t, sampleBatch(c).Detectors[0]) {
+		t.Fatal("certain X error should flip the measurement and fire the detector")
 	}
 }
 
 func TestFrameZErrorInvisible(t *testing.T) {
 	c := NewCircuit(1)
 	c.ZError(1.0, 0).M(0).Detector(-1)
-	fs := NewFrameSampler(c, rand.New(rand.NewSource(1)))
-	if fs.Sample().Detectors[0] {
+	if lanes(t, sampleBatch(c).Detectors[0]) {
 		t.Fatal("Z error should be invisible to Z measurement")
 	}
 }
@@ -86,8 +104,7 @@ func TestFrameHadamardConvertsZtoX(t *testing.T) {
 	// Z error then H => X error => visible.
 	c := NewCircuit(1)
 	c.ZError(1.0, 0).H(0).M(0).Detector(-1)
-	fs := NewFrameSampler(c, rand.New(rand.NewSource(1)))
-	if !fs.Sample().Detectors[0] {
+	if !lanes(t, sampleBatch(c).Detectors[0]) {
 		t.Fatal("H should rotate Z error into X")
 	}
 }
@@ -96,15 +113,13 @@ func TestFrameCXPropagation(t *testing.T) {
 	// X on control propagates to target through CX.
 	c := NewCircuit(2)
 	c.XError(1.0, 0).CX(0, 1).M(1).Detector(-1)
-	fs := NewFrameSampler(c, rand.New(rand.NewSource(1)))
-	if !fs.Sample().Detectors[0] {
+	if !lanes(t, sampleBatch(c).Detectors[0]) {
 		t.Fatal("X should copy through CX control")
 	}
 	// Z on target propagates to control.
 	c2 := NewCircuit(2)
 	c2.ZError(1.0, 1).CX(0, 1).H(0).M(0).Detector(-1)
-	fs2 := NewFrameSampler(c2, rand.New(rand.NewSource(1)))
-	if !fs2.Sample().Detectors[0] {
+	if !lanes(t, sampleBatch(c2).Detectors[0]) {
 		t.Fatal("Z should copy through CX target")
 	}
 }
@@ -112,36 +127,36 @@ func TestFrameCXPropagation(t *testing.T) {
 func TestFrameSwapMovesErrors(t *testing.T) {
 	c := NewCircuit(2)
 	c.XError(1.0, 0).Swap(0, 1).M(0, 1).Detector(-2).Detector(-1)
-	fs := NewFrameSampler(c, rand.New(rand.NewSource(1)))
-	res := fs.Sample()
-	if res.Detectors[0] || !res.Detectors[1] {
-		t.Fatalf("SWAP should move the error: %v", res.Detectors)
+	res := sampleBatch(c)
+	if lanes(t, res.Detectors[0]) || !lanes(t, res.Detectors[1]) {
+		t.Fatalf("SWAP should move the error: %#x", res.Detectors)
 	}
 }
 
 func TestFrameMRClearsFrame(t *testing.T) {
+	// Detector 0 watches the MR's own record, detector 1 the measurement
+	// after the reset.
 	c := NewCircuit(1)
-	c.XError(1.0, 0).MR(0, 0).M(0).Detector(-1)
-	fs := NewFrameSampler(c, rand.New(rand.NewSource(1)))
-	res := fs.Sample()
-	if res.Detectors[0] {
-		t.Fatal("MR should clear the frame; second measurement clean")
-	}
-	if !res.MeasurementFlips[0] {
+	c.XError(1.0, 0).MR(0, 0).M(0).Detector(-2).Detector(-1)
+	res := sampleBatch(c)
+	if !lanes(t, res.Detectors[0]) {
 		t.Fatal("first measurement should have flipped")
+	}
+	if lanes(t, res.Detectors[1]) {
+		t.Fatal("MR should clear the frame; second measurement clean")
 	}
 }
 
 func TestFrameReadoutFlipIsClassical(t *testing.T) {
-	// Readout flip on MR must not corrupt the post-reset state.
+	// A readout flip must not corrupt the measured state: detector 0
+	// watches the flipped readout, detector 1 the clean one after it.
 	c := NewCircuit(1)
-	c.MFlip(1.0, 0).M(0).Detector(-1)
-	fs := NewFrameSampler(c, rand.New(rand.NewSource(1)))
-	res := fs.Sample()
-	if !res.MeasurementFlips[0] {
+	c.MFlip(1.0, 0).M(0).Detector(-2).Detector(-1)
+	res := sampleBatch(c)
+	if !lanes(t, res.Detectors[0]) {
 		t.Fatal("first readout should always flip")
 	}
-	if res.Detectors[0] {
+	if lanes(t, res.Detectors[1]) {
 		t.Fatal("second clean measurement should agree with reference")
 	}
 }
@@ -149,10 +164,9 @@ func TestFrameReadoutFlipIsClassical(t *testing.T) {
 func TestFrameObservable(t *testing.T) {
 	c := NewCircuit(2)
 	c.XError(1.0, 0).M(0, 1).Observable(0, -2).Observable(1, -1)
-	fs := NewFrameSampler(c, rand.New(rand.NewSource(1)))
-	res := fs.Sample()
-	if !res.Observables[0] || res.Observables[1] {
-		t.Fatalf("observables wrong: %v", res.Observables)
+	res := sampleBatch(c)
+	if !lanes(t, res.Observables[0]) || lanes(t, res.Observables[1]) {
+		t.Fatalf("observables wrong: %#x", res.Observables)
 	}
 }
 
@@ -189,13 +203,63 @@ func TestRepetitionCodeDetectorContract(t *testing.T) {
 	}
 }
 
+// batchRates returns c's per-detector and per-observable firing rates over
+// exactly shots shots of the batch sampler; the last batch is masked to the
+// shots it contributes.
+func batchRates(c *Circuit, seed int64, shots int) (det, obs []float64) {
+	det = make([]float64, c.NumDetectors())
+	obs = make([]float64, c.NumObservables())
+	bs := NewBatchFrameSampler(c, splitmix.New(seed))
+	for done := 0; done < shots; done += 64 {
+		mask := ^uint64(0)
+		if n := shots - done; n < 64 {
+			mask = 1<<uint(n) - 1
+		}
+		res := bs.SampleBatch()
+		for d, w := range res.Detectors {
+			det[d] += float64(bits.OnesCount64(w & mask))
+		}
+		for o, w := range res.Observables {
+			obs[o] += float64(bits.OnesCount64(w & mask))
+		}
+	}
+	return scaleRates(det, shots), scaleRates(obs, shots)
+}
+
+// tableauRates is batchRates over shots exact TableauRunner shots.
+func tableauRates(c *Circuit, seed int64, shots int) (det, obs []float64) {
+	det = make([]float64, c.NumDetectors())
+	obs = make([]float64, c.NumObservables())
+	tr := NewTableauRunner(c, rand.New(rand.NewSource(seed)))
+	for s := 0; s < shots; s++ {
+		res := tr.Sample()
+		for d, v := range res.Detectors {
+			if v {
+				det[d]++
+			}
+		}
+		for o, v := range res.Observables {
+			if v {
+				obs[o]++
+			}
+		}
+	}
+	return scaleRates(det, shots), scaleRates(obs, shots)
+}
+
+func scaleRates(counts []float64, shots int) []float64 {
+	for i := range counts {
+		counts[i] /= float64(shots)
+	}
+	return counts
+}
+
 func TestFrameMatchesTableauOnRepetitionCode(t *testing.T) {
 	// Compare detector firing rates between the two backends.
 	c := repCodeCircuit(0.08, 2)
 	shots := 4000
-	fRate := detectorRates(t, NewFrameSampler(c, rand.New(rand.NewSource(3))).Sample, shots, c.NumDetectors())
-	tr := NewTableauRunner(c, rand.New(rand.NewSource(4)))
-	tRate := detectorRates(t, tr.Sample, shots, c.NumDetectors())
+	fRate, _ := batchRates(c, 3, shots)
+	tRate, _ := tableauRates(c, 4, shots)
 	for i := range fRate {
 		if math.Abs(fRate[i]-tRate[i]) > 0.04 {
 			t.Errorf("detector %d rate mismatch: frame %.3f vs tableau %.3f", i, fRate[i], tRate[i])
@@ -203,39 +267,13 @@ func TestFrameMatchesTableauOnRepetitionCode(t *testing.T) {
 	}
 }
 
-func detectorRates(t *testing.T, sample func() ShotResult, shots, nDet int) []float64 {
-	t.Helper()
-	counts := make([]float64, nDet)
-	for s := 0; s < shots; s++ {
-		res := sample()
-		for i, d := range res.Detectors {
-			if d {
-				counts[i]++
-			}
-		}
-	}
-	for i := range counts {
-		counts[i] /= float64(shots)
-	}
-	return counts
-}
-
 func TestFrameMatchesTableauObservableRate(t *testing.T) {
 	c := repCodeCircuit(0.15, 2)
 	shots := 4000
-	count := func(sample func() ShotResult) float64 {
-		n := 0.0
-		for s := 0; s < shots; s++ {
-			if sample().Observables[0] {
-				n++
-			}
-		}
-		return n / float64(shots)
-	}
-	fr := count(NewFrameSampler(c, rand.New(rand.NewSource(5))).Sample)
-	tr := count(NewTableauRunner(c, rand.New(rand.NewSource(6))).Sample)
-	if math.Abs(fr-tr) > 0.04 {
-		t.Fatalf("observable rate mismatch: frame %.3f vs tableau %.3f", fr, tr)
+	_, fr := batchRates(c, 5, shots)
+	_, tr := tableauRates(c, 6, shots)
+	if math.Abs(fr[0]-tr[0]) > 0.04 {
+		t.Fatalf("observable rate mismatch: frame %.3f vs tableau %.3f", fr[0], tr[0])
 	}
 }
 
@@ -268,21 +306,9 @@ func TestPropertyFrameTableauAgreeOnRandomCircuits(t *testing.T) {
 		q := rng.Intn(n)
 		c.M(q).Depolarize1(0.2, q).M(q).Detector(-1, -2)
 		shots := 1200
-		fr := 0.0
-		fs := NewFrameSampler(c, rand.New(rand.NewSource(seed+1)))
-		for s := 0; s < shots; s++ {
-			if fs.Sample().Detectors[0] {
-				fr++
-			}
-		}
-		tr := NewTableauRunner(c, rand.New(rand.NewSource(seed+2)))
-		tcount := 0.0
-		for s := 0; s < shots; s++ {
-			if tr.Sample().Detectors[0] {
-				tcount++
-			}
-		}
-		return math.Abs(fr/float64(shots)-tcount/float64(shots)) < 0.07
+		fr, _ := batchRates(c, seed+1, shots)
+		tr, _ := tableauRates(c, seed+2, shots)
+		return math.Abs(fr[0]-tr[0]) < 0.07
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -330,8 +356,7 @@ func TestCircuitAppend(t *testing.T) {
 	if a.NumMeasurements() != 2 || a.NumDetectors() != 1 {
 		t.Fatal("append counts wrong")
 	}
-	fs := NewFrameSampler(a, rand.New(rand.NewSource(1)))
-	if fs.Sample().Detectors[0] {
+	if sampleBatch(a).Detectors[0] != 0 {
 		t.Fatal("clean append sample should not fire")
 	}
 }
@@ -356,17 +381,14 @@ func TestTableauRunnerResetOp(t *testing.T) {
 			t.Fatal("reset qubit should always measure 0")
 		}
 	}
-	fs := NewFrameSampler(c, rand.New(rand.NewSource(4)))
-	for i := 0; i < 20; i++ {
-		if fs.Sample().Detectors[0] {
-			t.Fatal("frame sampler disagrees on reset")
-		}
+	if sampleBatch(c).Detectors[0] != 0 {
+		t.Fatal("frame sampler disagrees on reset")
 	}
 }
 
 func TestSDagMatchesThreeS(t *testing.T) {
 	// SDag is its own op in the frame sampler: Z-component behavior of S
-	// and SDag agree (sign-free frames).
+	// and SDag agree (sign-free frames), in every shot of the batch.
 	mk := func(useDag bool) *Circuit {
 		c := NewCircuit(1)
 		c.XError(1.0, 0)
@@ -378,9 +400,9 @@ func TestSDagMatchesThreeS(t *testing.T) {
 		c.H(0).M(0).Detector(-1)
 		return c
 	}
-	a := NewFrameSampler(mk(true), rand.New(rand.NewSource(1))).Sample()
-	b := NewFrameSampler(mk(false), rand.New(rand.NewSource(1))).Sample()
-	if a.Detectors[0] != b.Detectors[0] {
+	a := lanes(t, sampleBatch(mk(true)).Detectors[0])
+	b := lanes(t, sampleBatch(mk(false)).Detectors[0])
+	if a != b {
 		t.Fatal("SDag and S^3 disagree")
 	}
 }

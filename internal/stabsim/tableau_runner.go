@@ -8,9 +8,9 @@ import (
 
 // TableauRunner executes circuits exactly on an Aaronson–Gottesman tableau,
 // sampling noise channels as explicit Pauli injections and performing real
-// projective measurements. It is the reference backend used to validate the
-// FrameSampler and to execute circuits whose detectors are not yet known to
-// satisfy the determinism contract.
+// projective measurements. It is the exact reference the BatchFrameSampler
+// is validated against, and it executes circuits whose detectors are not
+// yet known to satisfy the determinism contract.
 type TableauRunner struct {
 	c   *Circuit
 	rng *rand.Rand
@@ -202,14 +202,20 @@ func (t *TableauRunner) computeReference() {
 	t.hasRef = true
 }
 
+// ShotResult carries one shot's detector events and observable flips.
+type ShotResult struct {
+	Detectors   []bool
+	Observables []bool
+}
+
 // Sample executes one noisy shot and returns detector events and observable
 // flips normalized against the noiseless reference, directly comparable to
-// FrameSampler.Sample output.
+// one lane (bit) of a BatchFrameSampler batch.
 func (t *TableauRunner) Sample() ShotResult {
 	if !t.hasRef {
 		t.computeReference()
 	}
-	meas, det, obs := t.RunOnce(true)
+	_, det, obs := t.RunOnce(true)
 	res := ShotResult{
 		Detectors:   make([]bool, len(det)),
 		Observables: make([]bool, len(obs)),
@@ -220,8 +226,6 @@ func (t *TableauRunner) Sample() ShotResult {
 	for i := range obs {
 		res.Observables[i] = obs[i] != t.refObs[i]
 	}
-	flips := make([]bool, len(meas))
-	res.MeasurementFlips = flips // raw outcomes are not meaningful as flips here; left false
 	return res
 }
 

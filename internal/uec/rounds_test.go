@@ -1,7 +1,9 @@
 package uec
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hetarch/internal/qec"
@@ -74,22 +76,43 @@ func TestMemoryPerRoundRateStable(t *testing.T) {
 	}
 }
 
-func TestMemorySingleRoundMatchesExperimentScale(t *testing.T) {
-	// The 1-round memory experiment should be in the same ballpark as the
-	// single-cycle Experiment (they differ slightly: the memory decoder is
-	// sequential rather than two-stage).
-	p := DefaultParams(qec.Steane(), 50, true)
-	m, err := NewMemory(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr := mustRun(t, m, 10000, 9, 1).LogicalErrorRate()
-	er := mustRun(t, e, 10000, 9, 1).LogicalErrorRate()
-	if mr > 2.5*er+0.01 || er > 2.5*mr+0.01 {
-		t.Fatalf("single-round memory %v vs experiment %v", mr, er)
+// TestMemorySingleRoundEqualsExperiment pins the unification exactly: the
+// single-cycle Experiment is the R = 1 memory experiment — the same circuit,
+// op for op, decoded by the same runner — so both return the same
+// (Shots, LogicalErrors) for every code, basis, schedule and flag setting
+// at any worker count.
+func TestMemorySingleRoundEqualsExperiment(t *testing.T) {
+	const shots, seed = 1000, 9
+	for name, code := range codes(t) {
+		for _, basis := range []byte{'Z', 'X'} {
+			for _, opt := range []bool{false, true} {
+				for _, flagged := range []bool{false, true} {
+					p := DefaultParams(code, 50, true)
+					p.Basis, p.OptimizedSchedule, p.Flagged = basis, opt, flagged
+					label := fmt.Sprintf("%s basis=%c opt=%v flagged=%v", name, basis, opt, flagged)
+					e, err := New(p)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					m, err := NewMemory(p, 1)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !reflect.DeepEqual(m.circuit.Ops, e.Circuit.Ops) {
+						t.Fatalf("%s: one-round memory circuit differs from the experiment's", label)
+					}
+					for _, workers := range []int{1, 2} {
+						want := mustRun(t, e, shots, seed, workers)
+						got := mustRun(t, m, shots, seed, workers)
+						if got != want {
+							t.Errorf("%s workers=%d: memory %+v != experiment %+v", label, workers, got, want)
+						}
+						if want.LogicalErrors == 0 {
+							t.Errorf("%s workers=%d: no logical errors, equality shows nothing", label, workers)
+						}
+					}
+				}
+			}
+		}
 	}
 }

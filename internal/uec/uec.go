@@ -181,9 +181,9 @@ func New(p Params) (*Experiment, error) {
 	}
 
 	if p.Heterogeneous {
-		e.buildSerializedCircuit()
+		e.Circuit, e.CycleDuration = e.serializedCircuit(1)
 	} else {
-		e.buildLatticeCircuit()
+		e.Circuit, e.CycleDuration = e.latticeCircuit()
 	}
 	return e, nil
 }
@@ -196,10 +196,12 @@ func maskOf(support []int) uint64 {
 	return m
 }
 
-// buildSerializedCircuit emits the heterogeneous UEC experiment: one noisy
-// serialized QEC cycle (every check, one at a time, through the single
-// central ancilla) followed by one noiseless cycle of the basis-type checks
+// serializedCircuit emits the heterogeneous UEC experiment and returns it
+// with the duration of one serialized QEC cycle: rounds noisy cycles (every
+// check, one at a time, through the single central ancilla; one detector
+// per basis-type check), then one noiseless cycle of the basis-type checks
 // (the standard perfect-final-round convention), then transversal readout.
+// New compiles one noisy cycle, NewMemory R of them.
 //
 // Noise attribution is phenomenological-at-round-start: every error a cycle
 // induces on a data qubit (load/store SWAP errors, gate-error marginals,
@@ -208,16 +210,15 @@ func maskOf(support []int) uint64 {
 // as measurement flips. This is the standard convention that keeps the
 // syndrome of a cycle well defined for the exact lookup decoder; flag
 // circuits (Params.Flagged) justify the absence of multi-qubit hook errors.
-func (e *Experiment) buildSerializedCircuit() {
+func (e *Experiment) serializedCircuit(rounds int) (*stabsim.Circuit, float64) {
 	p := e.P
 	n := p.Code.N
 	anc := n
 	c := stabsim.NewCircuit(n + 1)
 
 	basis, other := p.basisStabs()
-	dataAll := seq(n)
 	if p.Basis == 'X' {
-		c.H(dataAll...)
+		c.H(seq(n)...)
 	}
 
 	mFlip := (1 - math.Exp(-p.ReadoutTime/p.TcMicros)) / 2
@@ -256,24 +257,24 @@ func (e *Experiment) buildSerializedCircuit() {
 			touches[q]++
 		}
 	}
-	e.CycleDuration = cycle
 
-	// Up-front noise: everything the cycle does to each data qubit.
+	// Up-front noise: everything a cycle does to each data qubit.
 	gateMarginal := p.P2 * 12.0 / 15.0 // data side of the CX depolarizing
 	idleX, idleY, idleZ := stabsim.IdlePauliChannel(cycle, p.TsMicros, p.TsMicros)
 	cwX, cwY, cwZ := stabsim.IdlePauliChannel(2*p.SwapTime+p.GateTime, p.TcMicros, p.TcMicros)
-	for q := 0; q < n; q++ {
-		c.PauliChannel1(idleX, idleY, idleZ, q) // storage idling
-		for t := 0; t < touches[q]; t++ {
-			c.Depolarize1(p.SwapError, q) // load SWAP
-			c.Depolarize1(gateMarginal, q)
-			c.Depolarize1(p.SwapError, q)     // store SWAP
-			c.PauliChannel1(cwX, cwY, cwZ, q) // compute-window decoherence
+	emitNoise := func() {
+		for q := 0; q < n; q++ {
+			c.PauliChannel1(idleX, idleY, idleZ, q) // storage idling
+			for t := 0; t < touches[q]; t++ {
+				c.Depolarize1(p.SwapError, q) // load SWAP
+				c.Depolarize1(gateMarginal, q)
+				c.Depolarize1(p.SwapError, q)     // store SWAP
+				c.PauliChannel1(cwX, cwY, cwZ, q) // compute-window decoherence
+			}
 		}
 	}
 
-	// Noisy serialized cycle: ideal check gates; ancilla errors become
-	// measurement flips.
+	// Ideal check gates; ancilla errors become measurement flips.
 	emitCheck := func(support []int, isX bool, flip float64, det bool) {
 		if isX {
 			c.H(anc)
@@ -300,20 +301,30 @@ func (e *Experiment) buildSerializedCircuit() {
 		}
 		return f
 	}
-	for _, s := range basis {
-		emitCheck(s, p.Basis == 'X', ancillaFlip(len(s)), true)
-	}
-	for _, s := range other {
-		emitCheck(s, p.Basis != 'X', ancillaFlip(len(s)), false)
+	for r := 0; r < rounds; r++ {
+		emitNoise()
+		for _, s := range basis {
+			emitCheck(s, p.Basis == 'X', ancillaFlip(len(s)), true)
+		}
+		for _, s := range other {
+			emitCheck(s, p.Basis != 'X', ancillaFlip(len(s)), false)
+		}
 	}
 
 	// Noiseless verification cycle of the basis checks.
 	for _, s := range basis {
 		emitCheck(s, p.Basis == 'X', 0, true)
 	}
+	e.emitReadout(c)
+	return c, cycle
+}
 
-	// Transversal readout and observable.
-	if p.Basis == 'X' {
+// emitReadout closes a circuit with the transversal data readout (rotated
+// back from the X basis when needed) and the logical observable over it.
+func (e *Experiment) emitReadout(c *stabsim.Circuit) {
+	n := e.P.Code.N
+	dataAll := seq(n)
+	if e.P.Basis == 'X' {
 		c.H(dataAll...)
 	}
 	c.M(dataAll...)
@@ -324,26 +335,15 @@ func (e *Experiment) buildSerializedCircuit() {
 		}
 	}
 	c.Observable(0, obsRecs...)
-	e.Circuit = c
 }
 
-// idleAllData applies storage idle noise to every data qubit for the given
-// duration (heterogeneous: storage lifetime).
-func (e *Experiment) idleAllData(c *stabsim.Circuit, dataAll []int, dur float64) {
-	t := e.P.TsMicros
-	if !e.P.Heterogeneous {
-		t = e.P.TcMicros
-	}
-	px, py, pz := stabsim.IdlePauliChannel(dur, t, t)
-	c.PauliChannel1(px, py, pz, dataAll...)
-}
-
-// buildLatticeCircuit emits the homogeneous baseline: all checks execute in
-// parallel on a square lattice, each data-ancilla CX paying SWAP routing
-// when the pair is not adjacent under a greedy placement. Noise follows the
-// same phenomenological-at-round-start attribution as the serialized module
-// so that the two architectures are decoded identically.
-func (e *Experiment) buildLatticeCircuit() {
+// latticeCircuit emits the homogeneous baseline and returns it with its
+// round duration: all checks execute in parallel on a square lattice, each
+// data-ancilla CX paying SWAP routing when the pair is not adjacent under a
+// greedy placement. Noise follows the same phenomenological-at-round-start
+// attribution as the serialized module so that the two architectures are
+// decoded identically.
+func (e *Experiment) latticeCircuit() (*stabsim.Circuit, float64) {
 	p := e.P
 	n := p.Code.N
 	basis, other := p.basisStabs()
@@ -403,7 +403,6 @@ func (e *Experiment) buildLatticeCircuit() {
 			maxDepth = d
 		}
 	}
-	e.CycleDuration = maxDepth
 
 	// Up-front per-round noise: idle at Tc plus per-CX data marginals
 	// (each routing SWAP is 3 CXs on the moving pair). Grouped by qubit —
@@ -473,19 +472,8 @@ func (e *Experiment) buildLatticeCircuit() {
 	}
 	emitRound(true)
 	emitRound(false)
-
-	if p.Basis == 'X' {
-		c.H(dataAll...)
-	}
-	c.M(dataAll...)
-	var obsRecs []int
-	for q := 0; q < n; q++ {
-		if e.logicalMask>>uint(q)&1 == 1 {
-			obsRecs = append(obsRecs, -(n - q))
-		}
-	}
-	c.Observable(0, obsRecs...)
-	e.Circuit = c
+	e.emitReadout(c)
+	return c, maxDepth
 }
 
 func seq(n int) []int {
@@ -514,71 +502,74 @@ func (r Result) CI(confidence float64) stats.Interval {
 	return stats.BinomialCI(int64(r.LogicalErrors), int64(r.Shots), confidence)
 }
 
-// RunContext samples the experiment with the bit-parallel batch sampler
-// and decodes each shot with the two-stage exact lookup decoder: stage 1
-// corrects from the noisy round's syndrome, stage 2 from the verification
-// round's residual syndrome; a shot is a logical error when the combined
-// correction disagrees with the true observable flip. The shot budget is
-// distributed across worker goroutines via the mc engine. Workers own their
-// batch samplers; the lookup decoder is immutable after construction and
-// shared read-only. Pooled (shots, errors) are bit-identical for any worker
-// count (<= 0 means runtime.NumCPU()).
+// RunContext samples the experiment and decodes each shot with the
+// two-stage exact lookup decoder: stage 1 corrects from the noisy round's
+// syndrome, stage 2 from the verification round's residual syndrome — the
+// one-round case of the sequential decode MemoryExperiment.RunContext runs.
+// Pooled (shots, errors) are bit-identical for any worker count (<= 0
+// means runtime.NumCPU()).
 //
 // Cancellation stops dispatching new shards and returns the exact pooled
 // tally of the completed shards alongside a *mc.PartialError. Under a
 // checkpoint scope (mc.WithCheckpoint), completed shards persist across
 // interrupts and are not re-executed on resume.
 func (e *Experiment) RunContext(ctx context.Context, shots int, seed int64, workers int) (Result, error) {
-	k := e.numChecks
+	return e.run(ctx, e.Circuit, 1, shots, seed, workers)
+}
+
+// run samples circuit — rounds noisy cycles and the verification cycle,
+// e.numChecks detectors each, as both builders emit them — with the
+// bit-parallel batch sampler and decodes every shot sequentially: each
+// cycle's syndrome, less the syndrome of the correction accumulated so far,
+// is lookup-decoded and folded into the correction. A shot is a logical
+// error when the correction disagrees with the true observable flip. The
+// shot budget is distributed across worker goroutines via the mc engine;
+// workers own their batch samplers, and the lookup decoder is immutable
+// after construction and shared read-only.
+func (e *Experiment) run(ctx context.Context, c *stabsim.Circuit, rounds, shots int, seed int64, workers int) (Result, error) {
+	k, cycles := e.numChecks, rounds+1
 	cfg := mc.Config{Shots: shots, Seed: seed, Workers: workers}
 	tally, err := mc.RunContext(ctx, cfg, func() mc.ShardRunner {
 		rng := splitmix.New(0)
-		bs := stabsim.NewBatchFrameSampler(e.Circuit, rng)
-		// Per-shot syndrome words, filled by transposing the batch's packed
-		// detector words: one sparse pass over 2k words per 64 shots instead
-		// of 64 dense scans.
-		var syn1, synBoth [64]uint64
+		bs := stabsim.NewBatchFrameSampler(c, rng)
+		// syn[r*64+s] is shot s's cycle-r syndrome, filled by transposing
+		// the batch's packed detector words — one sparse pass over
+		// cycles·k words per 64 shots instead of 64 dense scans — and
+		// zeroed again as each shot is decoded.
+		syn := make([]uint64, cycles*64)
 		return func(sh mc.Shard) mc.Tally {
 			rng.Seed(sh.Seed)
 			var t mc.Tally
 			for done := 0; done < sh.Shots; {
 				batch := bs.SampleBatch()
-				n := 64
-				if sh.Shots-done < n {
-					n = sh.Shots - done
-				}
-				for s := 0; s < n; s++ {
-					syn1[s] = 0
-					synBoth[s] = 0
-				}
-				for i := 0; i < k; i++ {
-					for w := batch.Detectors[i]; w != 0; w &= w - 1 {
-						syn1[bits.TrailingZeros64(w)] |= 1 << uint(i)
-					}
-					for w := batch.Detectors[k+i]; w != 0; w &= w - 1 {
-						synBoth[bits.TrailingZeros64(w)] |= 1 << uint(i)
-					}
-				}
-				for s := 0; s < n; s++ {
-					s1, sBoth := syn1[s], synBoth[s]
-					actual := batch.Observables[0]>>uint(s)&1 == 1
-					if s1 == 0 && sBoth == 0 {
-						// Clean shot: both decodes are identity, the
-						// prediction is "no flip" — skip the table lookups.
-						if actual {
-							t.Errors++
+				n := min(64, sh.Shots-done)
+				mask := ^uint64(0) >> uint(64-n)
+				// fired marks the shots with a detector event. The others
+				// are clean: every decode is identity and the prediction is
+				// "no flip", so they skip the table lookups.
+				var fired uint64
+				for r := 0; r < cycles; r++ {
+					row := syn[r*64 : r*64+64]
+					for i, w := range batch.Detectors[r*k : (r+1)*k] {
+						w &= mask
+						fired |= w
+						for ; w != 0; w &= w - 1 {
+							row[bits.TrailingZeros64(w)] |= 1 << uint(i)
 						}
-						continue
-					}
-					c1 := e.lookup.Decode(s1)
-					resid := sBoth ^ e.lookup.Syndrome(c1)
-					c2 := e.lookup.Decode(resid)
-					total := c1 ^ c2
-					predicted := bits.OnesCount64(total&e.logicalMask)%2 == 1
-					if predicted != actual {
-						t.Errors++
 					}
 				}
+				var pred uint64 // bit s: shot s's predicted observable flip
+				for f := fired; f != 0; f &= f - 1 {
+					s := bits.TrailingZeros64(f)
+					correction := e.lookup.Decode(syn[s])
+					syn[s] = 0
+					for r := 1; r < cycles; r++ {
+						correction ^= e.lookup.Decode(syn[r*64+s] ^ e.lookup.Syndrome(correction))
+						syn[r*64+s] = 0
+					}
+					pred |= uint64(bits.OnesCount64(correction&e.logicalMask)&1) << uint(s)
+				}
+				t.Errors += int64(bits.OnesCount64((pred ^ batch.Observables[0]) & mask))
 				done += n
 			}
 			t.Shots = int64(sh.Shots)
